@@ -708,11 +708,46 @@ func BenchmarkSymbolicDeadlock(b *testing.B) {
 }
 
 // Substrate microbenchmarks.
+
+// BenchmarkBoolminQMC times exact two-level minimization through the on/off
+// entry point. classic-4 is the textbook instance Σm(3,4,7,8,10,11,12,15)
+// d(1,9,14); the muller rows minimize every output's next-state function of
+// the pipeline's state graph — few reachable codes over a large don't-care
+// space (n = 12 and 14), the shape the CSC search feeds the minimizer.
 func BenchmarkBoolminQMC(b *testing.B) {
-	on := []uint64{4, 8, 10, 11, 12, 15, 3, 7}
-	dc := []uint64{9, 14, 1}
-	for i := 0; i < b.N; i++ {
-		boolmin.Minimize(on, dc, 4)
+	type row struct {
+		name    string
+		n       int
+		on, off [][]uint64
+	}
+	rows := []row{{name: "classic-4", n: 4,
+		on:  [][]uint64{{4, 8, 10, 11, 12, 15, 3, 7}},
+		off: [][]uint64{{0, 2, 5, 6, 13}},
+	}}
+	for _, k := range []int{6, 7} {
+		sg, err := reach.BuildSG(gen.MullerPipeline(k), reach.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs, err := logic.DeriveAll(sg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := row{name: fmt.Sprintf("muller-%d-n%d", k, 2*k), n: 2 * k}
+		for _, f := range fs {
+			r.on, r.off = append(r.on, f.On), append(r.off, f.Off)
+		}
+		rows = append(rows, r)
+	}
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range r.on {
+					boolmin.MinimizeOnOff(r.on[j], r.off[j], r.n)
+				}
+			}
+		})
 	}
 }
 

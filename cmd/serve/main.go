@@ -149,6 +149,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) (err erro
 		go ps.Serve(pln)
 	}
 
+	// The drain handler goes in before the daemon announces itself: a
+	// supervisor may signal the moment it reads the listening line.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -161,10 +167,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) (err erro
 	hs := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	select {
 	case err := <-errc:

@@ -1,8 +1,9 @@
 // Package boolmin implements two-level Boolean minimization: cubes and
-// covers, exact Quine–McCluskey prime generation with don't-cares, covering
-// via essential primes plus Petrick's method (small instances) or a greedy
-// heuristic, and the algebraic factoring primitives (kernels, division) used
-// by logic decomposition. It is the stand-in for espresso/SIS in the flow
+// covers, exact prime generation by expanding on-set minterms against the
+// off-set (don't-cares are never enumerated), covering via essential primes
+// plus Petrick's method (small instances) or a greedy heuristic, and the
+// algebraic factoring primitives (kernels, division) used by logic
+// decomposition. It is the stand-in for espresso/SIS in the flow
 // (see DESIGN.md substitutions).
 package boolmin
 
@@ -62,19 +63,6 @@ func (c Cube) Covers(d Cube) bool {
 func (c Cube) Intersects(d Cube) bool {
 	shared := c.Care & d.Care
 	return (c.Val^d.Val)&shared == 0
-}
-
-// Merge combines two cubes differing in exactly one literal polarity with
-// identical care sets (the Quine–McCluskey adjacency step).
-func Merge(a, b Cube) (Cube, bool) {
-	if a.Care != b.Care {
-		return Cube{}, false
-	}
-	diff := a.Val ^ b.Val
-	if bits.OnesCount64(diff) != 1 {
-		return Cube{}, false
-	}
-	return Cube{Val: a.Val &^ diff, Care: a.Care &^ diff}, true
 }
 
 // String renders the cube as a positional pattern over n variables:

@@ -1,61 +1,21 @@
 package boolmin
 
-import (
-	"math/bits"
-	"sort"
-)
+import "sort"
 
 // MinimizeOnOff minimizes a function given by explicit on-set and off-set
-// minterms; everything else is don't-care. For small variable counts it
-// enumerates the don't-care set and runs exact Quine–McCluskey; for larger
-// ones it uses espresso-style expand/irredundant-cover against the off-set,
-// which never enumerates the 2^n space.
+// minterms; everything else is don't-care. For up to 14 variables it is
+// exact: PrimesOnOff generates the primes without enumerating the
+// don't-care space and selectCover picks essential primes plus a Petrick or
+// greedy cover. Wider functions take an espresso-style expand/greedy cover
+// against the off-set.
 func MinimizeOnOff(on, off []uint64, n int) Cover {
 	if len(on) == 0 {
 		return Cover{N: n}
 	}
 	if n <= 14 {
-		return Minimize(on, DontCares(on, off, n), n)
+		return Cover{N: n, Cubes: selectCover(PrimesOnOff(on, off, n), on, n)}
 	}
 	return expandCover(on, off, n)
-}
-
-// DontCares enumerates, in increasing minterm order, the 2^n \ (on ∪ off)
-// don't-care set of an incompletely specified function. A specified-minterm
-// bitset replaces the hash-set membership tests this hot path used to pay
-// for: at the n <= 14 widths it serves, the bitset is at most 2 KiB. For a
-// state graph every signal shares one reachable-code set, so callers
-// deriving many covers over the same graph compute this once and feed
-// Minimize directly.
-func DontCares(on, off []uint64, n int) []uint64 {
-	size := uint64(1) << uint(n)
-	mask := maskN(n)
-	spec := make([]uint64, (size+63)/64)
-	for _, m := range on {
-		m &= mask
-		spec[m/64] |= 1 << (m % 64)
-	}
-	for _, m := range off {
-		m &= mask
-		spec[m/64] |= 1 << (m % 64)
-	}
-	dcN := int(size) - len(on) - len(off)
-	if dcN < 0 {
-		dcN = 0 // duplicate minterms in on/off; the append below still works
-	}
-	dc := make([]uint64, 0, dcN)
-	for w, bitsw := range spec {
-		free := ^bitsw
-		if uint64(w+1)*64 > size {
-			free &= (1 << (size % 64)) - 1
-		}
-		for free != 0 {
-			b := free & -free
-			dc = append(dc, uint64(w)*64+uint64(bits.TrailingZeros64(b)))
-			free &^= b
-		}
-	}
-	return dc
 }
 
 // Expand returns a maximal implicant containing minterm m that avoids every

@@ -40,16 +40,16 @@ func TestCubeBasics(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := MintermCube(0b000, 3)
 	b := MintermCube(0b001, 3)
-	m, ok := Merge(a, b)
+	m, ok := merge(a, b)
 	if !ok || m.String(3) != "-00" {
 		t.Fatalf("merge: %v %q", ok, m.String(3))
 	}
 	c := MintermCube(0b011, 3)
-	if _, ok := Merge(a, c); ok {
+	if _, ok := merge(a, c); ok {
 		t.Fatal("two-bit difference must not merge")
 	}
 	d := Cube{Val: 0, Care: 0b011}
-	if _, ok := Merge(a, d); ok {
+	if _, ok := merge(a, d); ok {
 		t.Fatal("different care sets must not merge")
 	}
 }
@@ -60,7 +60,7 @@ func TestMerge(t *testing.T) {
 func TestMinimizeCanonical(t *testing.T) {
 	on := []uint64{4, 8, 10, 11, 12, 15}
 	dc := []uint64{9, 14}
-	cv := Minimize(on, dc, 4)
+	cv := MinimizeOnOff(on, refOffSet(on, dc, 4), 4)
 	checkCover(t, cv, on, dc, 4)
 	if len(cv.Cubes) > 3 {
 		t.Fatalf("canonical example needs <= 3 cubes, got %d: %s", len(cv.Cubes), cv.String())
@@ -70,7 +70,7 @@ func TestMinimizeCanonical(t *testing.T) {
 func TestMinimizeXor(t *testing.T) {
 	// XOR has no mergeable adjacent minterms: cover = the minterms.
 	on := []uint64{0b01, 0b10}
-	cv := Minimize(on, nil, 2)
+	cv := MinimizeOnOff(on, refOffSet(on, nil, 2), 2)
 	checkCover(t, cv, on, nil, 2)
 	if len(cv.Cubes) != 2 || cv.Literals() != 4 {
 		t.Fatalf("xor cover: %s", cv.String())
@@ -82,14 +82,14 @@ func TestMinimizeTautology(t *testing.T) {
 	for m := uint64(0); m < 8; m++ {
 		on = append(on, m)
 	}
-	cv := Minimize(on, nil, 3)
+	cv := MinimizeOnOff(on, nil, 3)
 	if v, ok := cv.IsConstant(); !ok || !v {
 		t.Fatalf("tautology must reduce to constant 1, got %s", cv.String())
 	}
 }
 
 func TestMinimizeEmpty(t *testing.T) {
-	cv := Minimize(nil, []uint64{1, 2}, 3)
+	cv := MinimizeOnOff(nil, refOffSet(nil, []uint64{1, 2}, 3), 3)
 	if v, ok := cv.IsConstant(); !ok || v {
 		t.Fatalf("empty on-set must yield constant 0, got %s", cv.String())
 	}
@@ -102,20 +102,9 @@ func TestMinimizeAllDontCareNeighbors(t *testing.T) {
 	for m := uint64(1); m < 16; m++ {
 		dc = append(dc, m)
 	}
-	cv := Minimize(on, dc, 4)
+	cv := MinimizeOnOff(on, refOffSet(on, dc, 4), 4)
 	if len(cv.Cubes) != 1 || cv.Cubes[0].Care != 0 {
 		t.Fatalf("want full cube, got %s", cv.String())
-	}
-}
-
-func TestComplement(t *testing.T) {
-	on := []uint64{0, 1}
-	cv := Complement(on, nil, 2)
-	for m := uint64(0); m < 4; m++ {
-		want := m >= 2
-		if cv.Eval(m) != want {
-			t.Fatalf("complement wrong at %d", m)
-		}
 	}
 }
 
@@ -163,7 +152,7 @@ func checkCover(t *testing.T, cv Cover, on, dc []uint64, n int) {
 	}
 }
 
-// Property: Minimize is correct on random functions of 4..6 variables.
+// Property: MinimizeOnOff is correct on random functions of 4..6 variables.
 func TestQuickMinimizeCorrect(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -177,7 +166,7 @@ func TestQuickMinimizeCorrect(t *testing.T) {
 				dc = append(dc, m)
 			}
 		}
-		cv := Minimize(on, dc, n)
+		cv := MinimizeOnOff(on, refOffSet(on, dc, n), n)
 		inDC := map[uint64]bool{}
 		for _, m := range dc {
 			inDC[m] = true
@@ -213,7 +202,7 @@ func TestQuickMinimizeNoWorse(t *testing.T) {
 				on = append(on, m)
 			}
 		}
-		cv := Minimize(on, nil, n)
+		cv := MinimizeOnOff(on, refOffSet(on, nil, n), n)
 		return len(cv.Cubes) <= len(on)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -319,3 +319,22 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSIGTERMRightAfterReady signals the daemon the instant it prints its
+// listening line: the drain handler must already be installed, so every
+// generation logs "draining" and exits 0 instead of dying by the signal.
+func TestSIGTERMRightAfterReady(t *testing.T) {
+	defer leakCheck(t)()
+	for gen := 0; gen < 8; gen++ {
+		p, err := Start(serveBin, t.TempDir(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Stop(15 * time.Second); err != nil {
+			t.Fatalf("generation %d: %v\n%s", gen, err, p.Log())
+		}
+		if !strings.Contains(p.Log(), "draining") {
+			t.Fatalf("generation %d: no draining line\n%s", gen, p.Log())
+		}
+	}
+}

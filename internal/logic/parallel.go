@@ -18,12 +18,11 @@ import (
 type Options struct {
 	// Workers selects the shared-extraction parallel deriver when > 1: one
 	// pass over the state graph computes every signal's next-state
-	// information at once (per-signal scans disappear), the don't-care set —
-	// identical for all signals of one SG — is enumerated once, and the
-	// per-signal cover minimizations fan out across a worker pool with
-	// pooled minimizer scratch. Functions and netlists are bit-identical to
-	// the sequential reference path at any worker count. 0 or 1 runs the
-	// sequential per-signal reference implementation.
+	// information at once (per-signal scans disappear), and the per-signal
+	// cover minimizations fan out across a worker pool. Functions and
+	// netlists are bit-identical to the sequential reference path at any
+	// worker count. 0 or 1 runs the sequential per-signal reference
+	// implementation.
 	Workers int
 	// Budget adds cancellation between per-signal minimizations; nil is
 	// unlimited.
@@ -59,9 +58,6 @@ type extraction struct {
 	// Per-code region masks: bit s set iff some state with this code has
 	// signal s in the region.
 	erP, erM, qrP, qrM []ts.Code
-	// dc is the shared don't-care set: the unreachable codes, in increasing
-	// minterm order, as MinimizeOnOff enumerates them. Nil when n > 14.
-	dc []uint64
 	// minCalls counts cover minimizations (nil no-op when observability is
 	// off).
 	minCalls *obs.Counter
@@ -119,13 +115,6 @@ func extract(g *ts.SG) *extraction {
 		ex.qrP[i] |= code & quiet
 		ex.qrM[i] |= quiet &^ code
 	}
-	if n <= 14 {
-		reach := make([]uint64, len(ex.codes))
-		for i, c := range ex.codes {
-			reach[i] = uint64(c)
-		}
-		ex.dc = boolmin.DontCares(reach, nil, n)
-	}
 	return ex
 }
 
@@ -155,18 +144,12 @@ func (ex *extraction) onOff(sig int) (on, off []uint64) {
 	return on, off
 }
 
-// deriveShared produces sig's Function from the shared extraction, with the
-// cover minimized through the worker's pooled scratch.
-func (ex *extraction) deriveShared(sig int, mz *boolmin.Minimizer) Function {
+// deriveShared produces sig's Function from the shared extraction.
+func (ex *extraction) deriveShared(sig int) Function {
 	ex.minCalls.Inc()
 	on, off := ex.onOff(sig)
-	f := Function{Signal: sig, Name: ex.names[sig], N: ex.n, Names: ex.names, On: on, Off: off}
-	if ex.n <= 14 {
-		f.Cover = mz.Minimize(on, ex.dc, ex.n)
-	} else {
-		f.Cover = deriveCover(on, off, ex.n)
-	}
-	return f
+	return Function{Signal: sig, Name: ex.names[sig], N: ex.n, Names: ex.names,
+		On: on, Off: off, Cover: deriveCover(on, off, ex.n)}
 }
 
 // nonInputs lists the signals synthesis derives functions for.
@@ -233,8 +216,8 @@ func deriveAllOpts(g *ts.SG, opts Options, sp *obs.Span) ([]Function, error) {
 		}
 	}
 	out := make([]Function, len(sigs))
-	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
-		out[i] = ex.deriveShared(sigs[i], mz)
+	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(i int) {
+		out[i] = ex.deriveShared(sigs[i])
 	}); err != nil {
 		return nil, err
 	}
@@ -290,8 +273,8 @@ func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist
 		}
 	}
 	gates := make([]Gate, len(sigs))
-	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(mz *boolmin.Minimizer, i int) {
-		gates[i] = ex.synthesizeShared(sigs[i], style, mz)
+	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(i int) {
+		gates[i] = ex.synthesizeShared(sigs[i], style)
 	}); err != nil {
 		return nil, err
 	}
@@ -321,12 +304,12 @@ func (ex *extraction) srConflict(sig int) error {
 
 // synthesizeShared mirrors synthesizeSignal on the shared extraction. The
 // caller has already ruled out CSC conflicts for sig.
-func (ex *extraction) synthesizeShared(sig int, style Style, mz *boolmin.Minimizer) Gate {
+func (ex *extraction) synthesizeShared(sig int, style Style) Gate {
 	if style == ComplexGate {
-		f := ex.deriveShared(sig, mz)
+		f := ex.deriveShared(sig)
 		return Gate{Kind: Comb, Output: sig, F: f.Cover}
 	}
-	set, reset := ex.setResetCovers(sig, mz)
+	set, reset := ex.setResetCovers(sig)
 	kind := CElem
 	if style == StandardC {
 		kind = RSLatch
@@ -336,7 +319,7 @@ func (ex *extraction) synthesizeShared(sig int, style Style, mz *boolmin.Minimiz
 
 // setResetCovers mirrors SetResetCovers on the shared extraction: identical
 // monotonous-cover on/off assignment per unique code, in first-seen order.
-func (ex *extraction) setResetCovers(sig int, mz *boolmin.Minimizer) (set, reset boolmin.Cover) {
+func (ex *extraction) setResetCovers(sig int) (set, reset boolmin.Cover) {
 	bit := ts.Code(1) << uint(sig)
 	var setOn, setOff, resetOn, resetOff []uint64
 	for i, c := range ex.codes {
@@ -358,26 +341,17 @@ func (ex *extraction) setResetCovers(sig int, mz *boolmin.Minimizer) (set, reset
 		}
 	}
 	ex.minCalls.Add(2)
-	set = minimizeOnOffPooled(setOn, setOff, ex.n, mz)
-	reset = minimizeOnOffPooled(resetOn, resetOff, ex.n, mz)
+	set = boolmin.MinimizeOnOff(setOn, setOff, ex.n)
+	reset = boolmin.MinimizeOnOff(resetOn, resetOff, ex.n)
 	return set, reset
 }
 
-// minimizeOnOffPooled is MinimizeOnOff routed through pooled scratch on the
-// exact-QMC widths.
-func minimizeOnOffPooled(on, off []uint64, n int, mz *boolmin.Minimizer) boolmin.Cover {
-	if n <= 14 && len(on) > 0 {
-		return mz.Minimize(on, boolmin.DontCares(on, off, n), n)
-	}
-	return boolmin.MinimizeOnOff(on, off, n)
-}
-
-// runWorkers fans f over n indexes across w goroutines, each owning a pooled
-// minimizer. Results keyed by index stay deterministic however the indexes
-// are claimed. A panicking worker stops the others and the panic surfaces as
-// budget.ErrInternal with the captured stack; budget cancellation is polled
-// once per index and aborts the same way.
-func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(mz *boolmin.Minimizer, i int)) error {
+// runWorkers fans f over n indexes across w goroutines. Results keyed by
+// index stay deterministic however the indexes are claimed. A panicking
+// worker stops the others and the panic surfaces as budget.ErrInternal with
+// the captured stack; budget cancellation is polled once per index and
+// aborts the same way.
+func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(i int)) error {
 	if w > n {
 		w = n
 	}
@@ -398,7 +372,6 @@ func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(mz *boolmin.M
 					stop.Store(true)
 				}
 			}()
-			var mz boolmin.Minimizer
 			for {
 				if stop.Load() {
 					return
@@ -413,7 +386,7 @@ func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(mz *boolmin.M
 				if i >= n {
 					return
 				}
-				f(&mz, i)
+				f(i)
 			}
 		}(k)
 	}

@@ -63,7 +63,7 @@ func parseLine(line string) (Property, error) {
 		return Property{}, fmt.Errorf("expected property name, got %s", lx.describe())
 	}
 	name := lx.lit
-	if keywords[name] {
+	if keywords[name] && !checkNames[name] {
 		return Property{}, fmt.Errorf("property name %q is a reserved word", name)
 	}
 	if err := lx.next(); err != nil {
@@ -94,6 +94,12 @@ var keywords = map[string]bool{
 	"csc_conflict": true, "marked": true, "excited": true, "enabled": true,
 	"deadlock_free": true, "live": true,
 }
+
+// checkNames are the reserved words a property may still be named after:
+// the names of the standard checks and templates. The name position is
+// unambiguous, and Standard uses two of them, so Print(Standard()) parses
+// back.
+var checkNames = map[string]bool{"deadlock_free": true, "live": true, "persistent": true}
 
 type token int
 

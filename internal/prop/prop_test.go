@@ -3,6 +3,7 @@ package prop
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,6 +117,26 @@ func TestParseFileCommentsAndBlank(t *testing.T) {
 	}
 	if Print(again) != printed {
 		t.Fatalf("print/parse not a fixed point:\n%s\nvs\n%s", printed, Print(again))
+	}
+}
+
+// TestStandardRoundTrip pins that the standard suite survives its own
+// printed form: the check names deadlock_free and persistent are reserved
+// words, yet they parse back as property names.
+func TestStandardRoundTrip(t *testing.T) {
+	std := Standard()
+	props, err := Parse(Print(std))
+	if err != nil {
+		t.Fatalf("Parse(Print(Standard())): %v", err)
+	}
+	if !reflect.DeepEqual(props, std) {
+		t.Fatalf("round trip changed the suite:\n%s\nvs\n%s", Print(props), Print(std))
+	}
+	// Other reserved words still cannot name a property.
+	for _, name := range []string{"prop", "true", "AG", "deadlock", "excited"} {
+		if _, err := Parse("prop " + name + " : deadlock_free"); err == nil {
+			t.Errorf("reserved word %q accepted as a property name", name)
+		}
 	}
 }
 

@@ -29,11 +29,12 @@ type Options struct {
 	// than one token in a place. When false, markings up to 255 tokens per
 	// place are explored (boundedness violations beyond that still fail).
 	RequireSafe bool
-	// Workers selects the parallel sharded explorer when > 1: a
-	// level-synchronized BFS over a sharded visited table, followed by a
-	// deterministic renumbering pass, so the resulting Graph is
-	// bit-identical to the sequential explorer's regardless of worker
-	// count. 0 or 1 runs the sequential explorer.
+	// Workers selects the parallel explorer when > 1: work-stealing
+	// frontier expansion (one Chase-Lev deque per worker) over the
+	// lock-free sharded visited table, followed by a deterministic
+	// renumbering pass, so the resulting Graph is bit-identical to the
+	// sequential explorer's regardless of worker count. 0 or 1 runs the
+	// sequential explorer.
 	Workers int
 	// Arena, when non-nil, runs the sequential explorer on reusable scratch
 	// memory: the returned Graph is bit-identical but aliases the arena and

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -41,6 +43,8 @@ type diskCache struct {
 	dir        string
 	maxEntries int
 	maxBytes   int64
+
+	tmpSeq atomic.Uint64 // numbers put's temp files, so concurrent puts never share one
 
 	mu    sync.Mutex
 	ll    *list.List // front = most recently used
@@ -185,6 +189,10 @@ func decodeEntry(raw []byte) ([]byte, bool) {
 // fsync, rename. The serve.cache.write kill site splits the payload write
 // around the death, so a chaos kill mid-write leaves only a temp file —
 // cleaned on the next startup, invisible to readers.
+//
+// The fsyncs run outside the index lock, so a lookup never waits on
+// another request's disk flushes. Each put writes its own numbered temp
+// file; only the rename and the index update take the lock.
 func (c *diskCache) put(key string, data []byte) {
 	if c == nil || int64(len(data)) > c.maxBytes || !validKey(key) {
 		return
@@ -195,9 +203,7 @@ func (c *diskCache) put(key string, data []byte) {
 	sum := sha256.Sum256(data)
 	copy(hdr[16:], sum[:])
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tmp := filepath.Join(c.dir, key+diskTmpExt)
+	tmp := filepath.Join(c.dir, key+"."+strconv.FormatUint(c.tmpSeq.Add(1), 10)+diskTmpExt)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return
@@ -233,23 +239,33 @@ func (c *diskCache) put(key string, data []byte) {
 		os.Remove(tmp)
 		return
 	}
+	if c.publish(key, tmp, int64(len(data))) {
+		syncDir(c.dir)
+	}
+}
+
+// publish renames a synced temp file into place and indexes it. Rename and
+// index update share the lock, so concurrent puts of one key leave the
+// index describing the file that won.
+func (c *diskCache) publish(key, tmp string, size int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := os.Rename(tmp, c.path(key)); err != nil {
 		os.Remove(tmp)
-		return
+		return false
 	}
-	syncDir(c.dir)
-
 	if el, ok := c.index[key]; ok {
 		// Overwrite: adjust the byte account by the size delta.
 		e := el.Value.(*diskEntry)
-		c.bytes += int64(len(data)) - e.size
-		e.size = int64(len(data))
+		c.bytes += size - e.size
+		e.size = size
 		c.ll.MoveToFront(el)
 	} else {
-		c.index[key] = c.ll.PushFront(&diskEntry{key: key, size: int64(len(data))})
-		c.bytes += int64(len(data))
+		c.index[key] = c.ll.PushFront(&diskEntry{key: key, size: size})
+		c.bytes += size
 	}
 	c.evictLocked()
+	return true
 }
 
 // evictLocked deletes least-recently-used entry files until both bounds

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -294,6 +296,60 @@ func TestDiskCacheCorruptQuarantined(t *testing.T) {
 	}
 	if _, ok := c2.get(key); ok {
 		t.Fatal("quarantined entry reindexed after restart")
+	}
+}
+
+// TestDiskCacheConcurrentPut writes one hot key and a set of cold keys from
+// many goroutines at once, with lookups in between; run under -race. Every
+// put does its file I/O outside the index lock, so afterwards no temp file
+// may be left behind, the byte account must match the index, and every
+// indexed entry must read back as one of the payloads written for it.
+func TestDiskCacheConcurrentPut(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	c, err := openDiskCache(dir, 64, 1<<20,
+		reg.Counter("hits"), reg.Counter("evictions"), reg.Counter("corrupt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := strings.Repeat("0", 64)
+	payload := func(w, i int) []byte { return []byte(fmt.Sprintf("w%d-i%d", w, i%3)) }
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				c.put(hot, payload(w, i))
+				c.put(fmt.Sprintf("%064x", i%10+1), []byte("cold"))
+				c.get(hot)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*"+diskTmpExt)); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+	c.mu.Lock()
+	var sum int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*diskEntry)
+		raw, err := os.ReadFile(c.path(e.key))
+		if err != nil {
+			c.mu.Unlock()
+			t.Fatalf("indexed entry %s has no file: %v", e.key, err)
+		}
+		if data, ok := decodeEntry(raw); !ok || int64(len(data)) != e.size {
+			c.mu.Unlock()
+			t.Fatalf("entry %s: decoded %v, %d bytes, indexed size %d", e.key, ok, len(data), e.size)
+		}
+		sum += e.size
+	}
+	total, entries := c.bytes, c.ll.Len()
+	c.mu.Unlock()
+	if total != sum || entries != 11 {
+		t.Fatalf("bytes=%d (entry sum %d) entries=%d, want sum and 11", total, sum, entries)
 	}
 }
 

@@ -18,7 +18,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES='^(BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkSymbolicVsExplicit|BenchmarkParallelExplore|BenchmarkSymbolicParallel|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
+BENCHES='^(BenchmarkBoolminQMC|BenchmarkSolveCSC|BenchmarkEquationDerivation|BenchmarkFullFlow|BenchmarkSymbolicVsExplicit|BenchmarkParallelExplore|BenchmarkSymbolicParallel|BenchmarkServeSynthesize|BenchmarkPropCheck|BenchmarkObsDisabledOverhead|BenchmarkObsEnabledCounter)$'
 # The obs overhead guards live in their own package; the root package holds
 # everything else.
 BENCH_PKGS='. ./internal/obs'

@@ -33,6 +33,10 @@ go test -timeout 60s -race ./internal/faultinject/
 # truth-table oracle.
 GOMAXPROCS=4 go test -timeout 120s -run Conformance -race ./internal/conformance/
 go test -fuzz=FuzzBDDOps -fuzztime=5s -run '^$' ./internal/bdd/
+# Exact minimizer fuzz smoke: every cover equals the Quine–McCluskey
+# reference's, covers the on-set, meets no off-set minterm and consists of
+# primes.
+go test -fuzz=FuzzMinimizeOnOff -fuzztime=5s -run '^$' ./internal/boolmin/
 # .g parser fuzz smoke: no panics, canonical form is a fixed point.
 go test -fuzz=FuzzSTGParse -fuzztime=5s -run '^$' ./internal/stg/
 # Property layer gate: unit + golden/CLI tests under the race detector,
