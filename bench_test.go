@@ -26,7 +26,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/gen"
 	"repro/internal/logic"
-	"repro/internal/obs"
 	"repro/internal/petri"
 	"repro/internal/prop"
 	"repro/internal/reach"
@@ -107,9 +106,10 @@ func BenchmarkFig7CSC(b *testing.B) {
 }
 
 // E-F7b — automatic CSC solving (search over insertion points). The worker
-// sweep on the generated conflict-rich ring measures the parallel candidate
-// search: shared signature memo, scratch arenas, fan-out over the pool. The
-// chosen insertion is bit-identical at every worker count.
+// sweep on the generated conflict-rich ring measures the candidate
+// evaluator pool: shared signature memo, scratch arenas, fan-out over the
+// pool (w1 is a pool of one). The chosen insertion is bit-identical at every
+// worker count.
 func BenchmarkSolveCSC(b *testing.B) {
 	b.Run("vme-read", func(b *testing.B) {
 		g := vme.ReadSTG()
@@ -133,8 +133,9 @@ func BenchmarkSolveCSC(b *testing.B) {
 
 // E-EQ — next-state function derivation and minimization. The worker sweep
 // on the solved conflict-rich ring measures the shared-extraction deriver:
-// one state-graph pass for all signals, one shared don't-care set, pooled
-// minimizer scratch. Functions are bit-identical at every worker count.
+// one state-graph pass for all signals, then the per-signal minimizations
+// fanned out over the pool (w1 is a pool of one). Functions are
+// bit-identical at every worker count.
 func BenchmarkEquationDerivation(b *testing.B) {
 	b.Run("vme-read", func(b *testing.B) {
 		g := vme.ReadSTG()
@@ -366,74 +367,6 @@ func BenchmarkSymbolicKernel(b *testing.B) {
 	}
 }
 
-// SYM-PAR — parallel symbolic image computation: the same fixpoint, bit
-// for bit, at 1/2/4 image workers (w1 is the sequential kernel). The
-// contention metrics — unique-table CAS retries, leaked arena slots,
-// epoch re-runs — quantify what the lock-free section pays for its
-// speedup; scripts/bench.sh sweeps this family across GOMAXPROCS.
-func BenchmarkSymbolicParallel(b *testing.B) {
-	models := []struct {
-		name string
-		net  *petri.Net
-	}{
-		{"toggles-16", gen.IndependentToggles(16)},
-		{"muller-7", gen.MullerPipeline(7).Net},
-	}
-	for _, mdl := range models {
-		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/w%d", mdl.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := symbolic.ReachOpts(mdl.net, symbolic.Options{Workers: w})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.PeakNodes), "peaknodes")
-					b.ReportMetric(float64(res.Stats.CASRetries), "casretries")
-					b.ReportMetric(float64(res.Stats.Leaked), "leaked")
-					b.ReportMetric(float64(res.Stats.EpochRetries), "epochretries")
-				}
-			})
-		}
-	}
-}
-
-// E-PAR — parallel sharded explicit reachability: the same graph, bit for
-// bit, at 1/2/4/8 workers, with wall-clock speedup on multi-core hosts.
-// pipeline-8 has 92736 states (≥ 2^16); ring and philosophers calibrate
-// the work-stealing overhead on smaller spaces.
-func BenchmarkParallelExplore(b *testing.B) {
-	models := []struct {
-		name string
-		net  *petri.Net
-	}{
-		{"pipeline-8", gen.MullerPipeline(8).Net},
-		{"ring-12-6", gen.MarkedGraphRing(12, 6)},
-		{"phil-7", gen.Philosophers(7)},
-	}
-	for _, mdl := range models {
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/w%d", mdl.name, w), func(b *testing.B) {
-				var steals, casRetries int64
-				for i := 0; i < b.N; i++ {
-					reg := obs.NewRegistry()
-					root := reg.Root("bench:parallel-explore")
-					rg, err := reach.Explore(mdl.net, reach.Options{Workers: w, Obs: root})
-					if err != nil {
-						b.Fatal(err)
-					}
-					root.End()
-					snap := reg.Snapshot()
-					steals += snap.Counters["reach.steals"]
-					casRetries += snap.Counters["reach.cas_retries"]
-					b.ReportMetric(float64(rg.NumStates()), "states")
-				}
-				b.ReportMetric(float64(steals)/float64(b.N), "steals")
-				b.ReportMetric(float64(casRetries)/float64(b.N), "casretries")
-			})
-		}
-	}
-}
-
 // E-UNF — unfolding prefix vs reachability graph size.
 func BenchmarkUnfoldingVsRG(b *testing.B) {
 	for _, n := range []int{4, 8, 12} {
@@ -629,9 +562,8 @@ func BenchmarkServeSynthesize(b *testing.B) {
 }
 
 // E-PROP — temporal-property checking: the Standard() implementability
-// suite re-derived through the general checker, explicit (with a worker
-// sweep) vs symbolic, on the paper's READ cycle and a concurrency-heavy
-// Muller pipeline.
+// suite re-derived through the general checker, explicit vs symbolic, on
+// the paper's READ cycle and a concurrency-heavy Muller pipeline.
 func BenchmarkPropCheck(b *testing.B) {
 	models := []struct {
 		name string
@@ -642,19 +574,15 @@ func BenchmarkPropCheck(b *testing.B) {
 	}
 	props := prop.Standard()
 	for _, mdl := range models {
-		for _, w := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/explicit/w%d", mdl.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rep, err := prop.Check(mdl.g, props, prop.Options{
-						Engine: prop.EngineExplicit, Workers: w,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(len(rep.Verdicts)), "props")
+		b.Run(mdl.name+"/explicit", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := prop.Check(mdl.g, props, prop.Options{Engine: prop.EngineExplicit})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				b.ReportMetric(float64(len(rep.Verdicts)), "props")
+			}
+		})
 		b.Run(mdl.name+"/symbolic", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := prop.Check(mdl.g, props, prop.Options{Engine: prop.EngineSymbolic}); err != nil {

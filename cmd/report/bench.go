@@ -18,7 +18,8 @@ import (
 // benchResult is one parsed benchmark line.
 type benchResult struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped
-	// (e.g. "SolveCSC/cscring-2/w4").
+	// (e.g. "SolveCSC/cscring-2/w4"). go test appends the suffix only
+	// when GOMAXPROCS > 1.
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
@@ -36,7 +37,7 @@ type benchFile struct {
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	CPU        string        `json:"cpu,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
-	// Scaling is the GOMAXPROCS sweep of the parallel benchmark families
+	// Scaling is the GOMAXPROCS sweep of the pooled benchmark families
 	// (-scaling): per-worker-count ns/op and speedup columns relative to
 	// the single-processor run.
 	Scaling *scalingTable `json:"scaling,omitempty"`
@@ -63,19 +64,20 @@ type scalingRow struct {
 	Speedup map[string]float64 `json:"speedup,omitempty"`
 }
 
-// writeBenchJSON converts `go test -bench` plain-text output on r into the
-// benchmark trajectory JSON on w. Lines that are not benchmark results (the
-// goos/goarch/pkg/cpu header, PASS, ok) contribute metadata or are skipped.
-// merge names metrics-snapshot JSON files (comma-separated) whose validated
-// contents are embedded under "metrics_snapshots"; scaling names the
-// GOMAXPROCS sweep files ("1=path,2=path,...") embedded under "scaling".
-func writeBenchJSON(r io.Reader, w io.Writer, merge, scaling string) error {
+// writeBenchJSON converts `go test -bench` plain-text output on r, run at
+// GOMAXPROCS procs, into the benchmark trajectory JSON on w. Lines that are
+// not benchmark results (the goos/goarch/pkg/cpu header, PASS, ok)
+// contribute metadata or are skipped. merge names metrics-snapshot JSON
+// files (comma-separated) whose validated contents are embedded under
+// "metrics_snapshots"; scaling names the GOMAXPROCS sweep files
+// ("1=path,2=path,...") embedded under "scaling".
+func writeBenchJSON(r io.Reader, w io.Writer, procs int, merge, scaling string) error {
 	out := benchFile{
 		Suite:      "synth",
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOMAXPROCS: procs,
 		Benchmarks: []benchResult{},
 	}
 	sc := bufio.NewScanner(r)
@@ -89,7 +91,7 @@ func writeBenchJSON(r io.Reader, w io.Writer, merge, scaling string) error {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		res, err := parseBenchLine(line)
+		res, err := parseBenchLine(line, procs)
 		if err != nil {
 			return fmt.Errorf("bench-json: %w", err)
 		}
@@ -131,7 +133,7 @@ func mergeScaling(out *benchFile, scaling string) error {
 		if err != nil || p < 1 {
 			return fmt.Errorf("scaling: bad processor count in %q", part)
 		}
-		results, err := parseBenchFile(part[eq+1:])
+		results, err := parseBenchFile(part[eq+1:], p)
 		if err != nil {
 			return fmt.Errorf("scaling: %w", err)
 		}
@@ -176,8 +178,9 @@ func mergeScaling(out *benchFile, scaling string) error {
 	return nil
 }
 
-// parseBenchFile reads one raw `go test -bench` output file into results.
-func parseBenchFile(path string) ([]benchResult, error) {
+// parseBenchFile reads one raw `go test -bench` output file, run at
+// GOMAXPROCS procs, into results.
+func parseBenchFile(path string, procs int) ([]benchResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -191,7 +194,7 @@ func parseBenchFile(path string) ([]benchResult, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		res, err := parseBenchLine(line)
+		res, err := parseBenchLine(line, procs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -228,20 +231,20 @@ func mergeSnapshots(out *benchFile, merge string) error {
 	return nil
 }
 
-// parseBenchLine parses one result line:
+// parseBenchLine parses one result line of a run at GOMAXPROCS procs:
 //
 //	BenchmarkSolveCSC/cscring-2/w4-8   100   123456 ns/op   12.00 states
-func parseBenchLine(line string) (benchResult, error) {
+//
+// Only a trailing "-procs" is stripped, and nothing at procs 1, where go
+// test appends no suffix: a name such as "toggles-16" keeps its own number.
+func parseBenchLine(line string, procs int) (benchResult, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
 		return benchResult{}, fmt.Errorf("malformed line %q", line)
 	}
 	name := strings.TrimPrefix(fields[0], "Benchmark")
-	// Strip the trailing -GOMAXPROCS suffix go test appends.
-	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
+	if procs > 1 {
+		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {

@@ -14,14 +14,14 @@ pkg: repro
 cpu: Intel(R) Xeon(R) CPU @ 2.10GHz
 BenchmarkSolveCSC/vme-read-4         	      27	  42724567 ns/op
 BenchmarkSolveCSC/cscring-2/w4-4     	      31	  37000000 ns/op	       5.000 states
-BenchmarkParallelExplore/phil-7/w2-4 	     100	    123456 ns/op	    1000 states	     200 B/op	       3 allocs/op
+BenchmarkStubbornReduction/phil-6-4 	     100	    123456 ns/op	    1000 states	     200 B/op	       3 allocs/op
 PASS
 ok  	repro	12.345s
 `
 
 func TestWriteBenchJSON(t *testing.T) {
 	var out bytes.Buffer
-	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, "", ""); err != nil {
+	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, 4, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	var f benchFile
@@ -46,6 +46,9 @@ func TestWriteBenchJSON(t *testing.T) {
 		t.Fatalf("second result misparsed: %+v", second)
 	}
 	third := f.Benchmarks[2]
+	if third.Name != "StubbornReduction/phil-6" {
+		t.Fatalf("third name misparsed: %q", third.Name)
+	}
 	if third.Metrics["allocs/op"] != 3 || third.Metrics["B/op"] != 200 {
 		t.Fatalf("alloc metrics misparsed: %+v", third)
 	}
@@ -53,7 +56,7 @@ func TestWriteBenchJSON(t *testing.T) {
 
 func TestWriteBenchJSONRejectsGarbage(t *testing.T) {
 	var out bytes.Buffer
-	err := writeBenchJSON(strings.NewReader("BenchmarkBroken notanumber ns/op\n"), &out, "", "")
+	err := writeBenchJSON(strings.NewReader("BenchmarkBroken notanumber ns/op\n"), &out, 4, "", "")
 	if err == nil {
 		t.Fatal("malformed benchmark line must error")
 	}
@@ -74,7 +77,7 @@ func TestWriteBenchJSONMergesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, path, ""); err != nil {
+	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, 4, path, ""); err != nil {
 		t.Fatal(err)
 	}
 	var f benchFile
@@ -99,12 +102,13 @@ func TestWriteBenchJSONScalingSweep(t *testing.T) {
 		}
 		return path
 	}
-	p1 := write("sweep1.txt", "BenchmarkParallelExplore/phil-7/w4-1 \t 10\t 4000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-1 \t 5\t 8000 ns/op\n")
-	p2 := write("sweep2.txt", "BenchmarkParallelExplore/phil-7/w4-2 \t 10\t 2500 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-2 \t 5\t 5000 ns/op\n")
-	p4 := write("sweep4.txt", "BenchmarkParallelExplore/phil-7/w4-4 \t 10\t 1000 ns/op\nBenchmarkSymbolicParallel/toggles-16/w4-4 \t 5\t 4000 ns/op\n")
+	// go test appends no suffix at GOMAXPROCS 1.
+	p1 := write("sweep1.txt", "BenchmarkEquationDerivation/cscring-2/w4 \t 5\t 8000 ns/op\nBenchmarkSolveCSC/cscring-3/w4 \t 10\t 4000 ns/op\n")
+	p2 := write("sweep2.txt", "BenchmarkEquationDerivation/cscring-2/w4-2 \t 5\t 5000 ns/op\nBenchmarkSolveCSC/cscring-3/w4-2 \t 10\t 2500 ns/op\n")
+	p4 := write("sweep4.txt", "BenchmarkEquationDerivation/cscring-2/w4-4 \t 5\t 4000 ns/op\nBenchmarkSolveCSC/cscring-3/w4-4 \t 10\t 1000 ns/op\n")
 	var out bytes.Buffer
 	spec := "1=" + p1 + ",2=" + p2 + ",4=" + p4
-	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, "", spec); err != nil {
+	if err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, 4, "", spec); err != nil {
 		t.Fatal(err)
 	}
 	var f benchFile
@@ -120,8 +124,8 @@ func TestWriteBenchJSONScalingSweep(t *testing.T) {
 	if len(f.Scaling.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %+v", f.Scaling.Rows)
 	}
-	row := f.Scaling.Rows[0] // sorted: ParallelExplore before SymbolicParallel
-	if row.Name != "ParallelExplore/phil-7/w4" {
+	row := f.Scaling.Rows[1] // sorted: EquationDerivation before SolveCSC
+	if row.Name != "SolveCSC/cscring-3/w4" {
 		t.Fatalf("row 0 is %q", row.Name)
 	}
 	if row.NsPerOp["1"] != 4000 || row.NsPerOp["4"] != 1000 {
@@ -137,10 +141,10 @@ func TestWriteBenchJSONScalingSweep(t *testing.T) {
 
 func TestWriteBenchJSONScalingRejectsBadSpec(t *testing.T) {
 	var out bytes.Buffer
-	if err := writeBenchJSON(strings.NewReader(""), &out, "", "nope"); err == nil {
+	if err := writeBenchJSON(strings.NewReader(""), &out, 4, "", "nope"); err == nil {
 		t.Fatal("spec without procs= must error")
 	}
-	if err := writeBenchJSON(strings.NewReader(""), &out, "", "2=/does/not/exist"); err == nil {
+	if err := writeBenchJSON(strings.NewReader(""), &out, 4, "", "2=/does/not/exist"); err == nil {
 		t.Fatal("missing sweep file must error")
 	}
 }
@@ -152,7 +156,7 @@ func TestWriteBenchJSONRejectsBadSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, path, "")
+	err := writeBenchJSON(strings.NewReader(sampleBenchOutput), &out, 4, path, "")
 	if err == nil {
 		t.Fatal("invalid snapshot must be rejected")
 	}

@@ -8,6 +8,10 @@
 //	go test -bench ... | go run ./cmd/report -bench-json > BENCH_synth.json
 //	go run ./cmd/report -regress [-threshold 0.15] OLD.json NEW.json
 //
+// -bench-json takes the run's GOMAXPROCS from its own environment, so run
+// it under the same GOMAXPROCS as the benchmarks it parses: only that
+// -GOMAXPROCS suffix is stripped from the names (none at GOMAXPROCS 1).
+//
 // -merge-metrics file1,file2 embeds validated metrics snapshots (from
 // cmd/synth/cmd/reach -metrics runs) into the bench JSON under
 // "metrics_snapshots", keyed by base filename.
@@ -15,7 +19,8 @@
 // -regress compares two bench-json records and exits non-zero when any
 // benchmark present in both slowed down by more than -threshold (a
 // fraction; 0.15 allows +15%). Benchmarks in only one record are
-// informational, never failures.
+// informational, never failures; a name that appears twice in either
+// record is an error.
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -58,7 +64,7 @@ func main() {
 		"baseline ns/op floor under which -regress reports but never gates (too fast to time reliably)")
 	flag.Parse()
 	if *benchJSON {
-		if err := writeBenchJSON(os.Stdin, os.Stdout, *mergeMetrics, *scaling); err != nil {
+		if err := writeBenchJSON(os.Stdin, os.Stdout, runtime.GOMAXPROCS(0), *mergeMetrics, *scaling); err != nil {
 			log.Fatal(err)
 		}
 		return

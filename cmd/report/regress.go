@@ -13,7 +13,9 @@ import (
 // benchmark trajectory records (the -bench-json output) and fails when any
 // benchmark present in both slowed down by more than -threshold. Names in
 // only one record are reported informationally — suites grow and shrink
-// across PRs and that is not a perf regression.
+// across PRs and that is not a perf regression. A record with a duplicate
+// name is rejected: the comparison is keyed by name, so a duplicate would
+// compare every copy against one baseline.
 
 // regression is one benchmark that crossed the threshold.
 type regression struct {
@@ -35,6 +37,17 @@ func loadBenchRecord(path string) (*benchFile, error) {
 	}
 	if len(rec.Benchmarks) == 0 {
 		return nil, fmt.Errorf("regress: %s: record holds no benchmarks", path)
+	}
+	seen := map[string]bool{}
+	var dups []string
+	for _, b := range rec.Benchmarks {
+		if seen[b.Name] {
+			dups = append(dups, b.Name)
+		}
+		seen[b.Name] = true
+	}
+	if len(dups) > 0 {
+		return nil, fmt.Errorf("regress: %s: duplicate benchmark names: %s", path, strings.Join(dups, ", "))
 	}
 	return &rec, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -140,4 +141,94 @@ func TestRegressRejectsBadInput(t *testing.T) {
 	if err := runRegress(&out, good, good, 0, 0); err == nil {
 		t.Fatal("non-positive threshold must error")
 	}
+}
+
+// symbolicVsExplicitProcs1 is `go test -bench SymbolicVsExplicit/.*/toggles
+// -benchtime=1x` output at GOMAXPROCS 1, where go test appends no -procs
+// suffix: the trailing numbers are model sizes. Stripping any trailing -N
+// collapsed these rows to two names.
+const symbolicVsExplicitProcs1 = `BenchmarkSymbolicVsExplicit/explicit/toggles-4         	       1	     40207 ns/op	        16.00 states
+BenchmarkSymbolicVsExplicit/symbolic/toggles-4         	       1	    138140 ns/op	       224.0 bddnodes	        16.00 states
+BenchmarkSymbolicVsExplicit/explicit/toggles-8         	       1	    294915 ns/op	       256.0 states
+BenchmarkSymbolicVsExplicit/symbolic/toggles-8         	       1	   3535656 ns/op	      1862 bddnodes	       256.0 states
+BenchmarkSymbolicVsExplicit/explicit/toggles-12        	       1	   7058072 ns/op	      4096 states
+BenchmarkSymbolicVsExplicit/symbolic/toggles-12        	       1	   1781159 ns/op	      6332 bddnodes	      4096 states
+BenchmarkSymbolicVsExplicit/explicit/toggles-16        	       1	 215769910 ns/op	     65536 states
+BenchmarkSymbolicVsExplicit/symbolic/toggles-16        	       1	   4823116 ns/op	     15042 bddnodes	     65536 states
+`
+
+// TestRegressBenchNameCollision parses the toggles-4/8/12/16 rows at
+// GOMAXPROCS 1 and 2: every size keeps its own name, a -2 suffix is
+// stripped only from the procs-2 run, and -regress compares size against
+// size.
+func TestRegressBenchNameCollision(t *testing.T) {
+	dir := t.TempDir()
+	record := func(name, raw string, procs int) string {
+		var out bytes.Buffer
+		if err := writeBenchJSON(strings.NewReader(raw), &out, procs, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		path := dir + "/" + name
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	p1 := record("p1.json", symbolicVsExplicitProcs1, 1)
+	rec, err := loadBenchRecord(p1)
+	if err != nil {
+		t.Fatalf("procs-1 record: %v", err)
+	}
+	var names []string
+	for _, b := range rec.Benchmarks {
+		names = append(names, b.Name)
+	}
+	var want []string
+	for _, n := range []string{"4", "8", "12", "16"} {
+		want = append(want, "SymbolicVsExplicit/explicit/toggles-"+n,
+			"SymbolicVsExplicit/symbolic/toggles-"+n)
+	}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("names = %v, want %v", names, want)
+	}
+
+	// The same rows at GOMAXPROCS 2 carry a -2 suffix; toggles-12's own
+	// "-12" must survive the strip.
+	procs2 := regexp.MustCompile(`(toggles-\d+)(\s)`).ReplaceAllString(symbolicVsExplicitProcs1, "$1-2$2")
+	p2 := record("p2.json", procs2, 2)
+	var out bytes.Buffer
+	if err := runRegress(&out, p1, p2, 0.15, 0); err != nil {
+		t.Fatalf("same timings must compare clean: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "only in") {
+		t.Fatalf("sizes must pair up across procs:\n%s", out.String())
+	}
+
+	// The collapsed names the old parser produced are rejected.
+	collapsed := writeRecordList(t, "collapsed.json", []benchResult{
+		{Name: "SymbolicVsExplicit/explicit/toggles", NsPerOp: 40207},
+		{Name: "SymbolicVsExplicit/explicit/toggles", NsPerOp: 215769910},
+	})
+	for _, args := range [][2]string{{collapsed, p1}, {p1, collapsed}} {
+		err := runRegress(&out, args[0], args[1], 0.15, 0)
+		if err == nil || !strings.Contains(err.Error(), "duplicate benchmark names") {
+			t.Fatalf("regress %s %s: want a duplicate-name error, got %v", args[0], args[1], err)
+		}
+	}
+}
+
+// writeRecordList marshals a bench-json record with the results in order,
+// duplicates included.
+func writeRecordList(t *testing.T, name string, benches []benchResult) string {
+	t.Helper()
+	rec := benchFile{Suite: "synth", GOMAXPROCS: 1, Benchmarks: benches}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/" + name
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

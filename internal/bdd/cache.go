@@ -25,8 +25,7 @@ type cacheEntry struct {
 }
 
 // cacheMix mixes an op-cache key into a 32-bit hash; callers mask it to
-// their table size (the sequential cache and the concurrent seqlock cache
-// share the mix).
+// their table size.
 func cacheMix(op uint32, f, g, h int32) uint32 {
 	x := uint64(uint32(f))*0x9e3779b97f4a7c15 ^
 		uint64(uint32(g))*0xc2b2ae3d27d4eb4f ^

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"os"
@@ -9,11 +10,13 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/petri"
 	"repro/internal/reach"
 	"repro/internal/stg"
 	"repro/internal/stubborn"
 	"repro/internal/symbolic"
+	"repro/internal/ts"
 )
 
 // model is one corpus entry. STG-backed models additionally get the CSC
@@ -93,7 +96,7 @@ func TestConformanceEngines(t *testing.T) {
 		mdl := mdl
 		t.Run(mdl.name, func(t *testing.T) {
 			t.Parallel()
-			// Reference: sequential explicit enumeration.
+			// Reference: explicit enumeration.
 			ref, err := reach.Explore(mdl.net, reach.Options{})
 			if err != nil {
 				t.Fatalf("explicit: %v", err)
@@ -104,26 +107,6 @@ func TestConformanceEngines(t *testing.T) {
 			}
 			refKeys := deadlockKeys(refDead)
 
-			// Parallel explicit at several worker counts: bit-identical
-			// graphs, so counts, arcs and deadlock states must all agree.
-			for _, w := range []int{1, 2, 4} {
-				rg, err := reach.Explore(mdl.net, reach.Options{Workers: w})
-				if err != nil {
-					t.Fatalf("explicit w=%d: %v", w, err)
-				}
-				if rg.NumStates() != ref.NumStates() || rg.NumArcs() != ref.NumArcs() {
-					t.Fatalf("explicit w=%d: %d states/%d arcs, want %d/%d",
-						w, rg.NumStates(), rg.NumArcs(), ref.NumStates(), ref.NumArcs())
-				}
-				var dead []petri.Marking
-				for _, s := range rg.Deadlocks() {
-					dead = append(dead, rg.Markings[s])
-				}
-				if !stringsEqual(deadlockKeys(dead), refKeys) {
-					t.Fatalf("explicit w=%d: deadlock set differs", w)
-				}
-			}
-
 			// Symbolic traversal, plain and with a deliberately tiny GC
 			// threshold plus sifting, so collection and reordering run on
 			// real workloads inside the differential check.
@@ -133,12 +116,6 @@ func TestConformanceEngines(t *testing.T) {
 			}{
 				{"plain", symbolic.Options{}},
 				{"gc+sift", symbolic.Options{GCThreshold: 256, Sift: true}},
-				// Parallel image computation: canonicity makes the fixpoint
-				// bit-identical to the sequential kernel's at any worker
-				// count, so the same exact counts must come back.
-				{"par-2", symbolic.Options{Workers: 2}},
-				{"par-4", symbolic.Options{Workers: 4}},
-				{"par-4+gc", symbolic.Options{Workers: 4, GCThreshold: 256}},
 			}
 			if mdl.unsafe {
 				symVariants = nil
@@ -179,9 +156,11 @@ func TestConformanceEngines(t *testing.T) {
 	}
 }
 
-// TestConformanceCSC checks the Complete State Coding verdict agrees
-// between the sequential and parallel state-graph builders on every
-// STG-backed model.
+// TestConformanceCSC checks that two independent CSC analyses agree on
+// every STG-backed model: the state graph's conflict search
+// (ts.SG.CSCConflicts) and the next-state function deriver, which fails
+// with a *logic.CSCError exactly when some code implies two next values of
+// a non-input signal.
 func TestConformanceCSC(t *testing.T) {
 	for _, mdl := range corpus(t) {
 		if mdl.g == nil {
@@ -190,21 +169,21 @@ func TestConformanceCSC(t *testing.T) {
 		mdl := mdl
 		t.Run(mdl.name, func(t *testing.T) {
 			t.Parallel()
-			ref, err := reach.BuildSG(mdl.g, reach.Options{})
+			sg, err := reach.BuildSG(mdl.g, reach.Options{})
 			if err != nil {
 				t.Fatalf("BuildSG: %v", err)
 			}
-			wantCSC := ref.HasCSC()
-			wantConf := len(ref.CSCConflicts())
-			for _, w := range []int{2, 4} {
-				sg, err := reach.BuildSG(mdl.g, reach.Options{Workers: w})
-				if err != nil {
-					t.Fatalf("BuildSG w=%d: %v", w, err)
-				}
-				if sg.HasCSC() != wantCSC || len(sg.CSCConflicts()) != wantConf {
-					t.Fatalf("BuildSG w=%d: CSC=%v (%d conflicts), sequential CSC=%v (%d conflicts)",
-						w, sg.HasCSC(), len(sg.CSCConflicts()), wantCSC, wantConf)
-				}
+			if sg, err = ts.ContractDummies(sg); err != nil {
+				t.Fatalf("ContractDummies: %v", err)
+			}
+			_, err = logic.DeriveAll(sg)
+			var ce *logic.CSCError
+			if err != nil && !errors.As(err, &ce) {
+				t.Fatalf("DeriveAll: %v", err)
+			}
+			if sg.HasCSC() != (err == nil) {
+				t.Fatalf("SG analysis: CSC=%v (%d conflicts); deriver: %v",
+					sg.HasCSC(), len(sg.CSCConflicts()), err)
 			}
 		})
 	}
@@ -217,8 +196,8 @@ func TestConformanceCorpusSize(t *testing.T) {
 	if len(models) < 6 {
 		t.Fatalf("conformance corpus has %d models, want >= 6", len(models))
 	}
-	// Engines exercised above: explicit, parallel explicit, symbolic
-	// (plain and gc+sift kernels), stubborn.
-	fmt.Fprintf(os.Stderr, "conformance: %d models x {explicit, parallel(1/2/4), symbolic(plain, gc+sift), stubborn}\n",
+	// Engines exercised above: explicit, symbolic (plain and gc+sift
+	// kernels), stubborn, plus the CSC cross-check on STG-backed models.
+	fmt.Fprintf(os.Stderr, "conformance: %d models x {explicit, symbolic(plain, gc+sift), stubborn}\n",
 		len(models))
 }

@@ -1,13 +1,14 @@
 // Package conformance is the cross-engine differential test layer: every
-// state-space engine of Section 2.2 — explicit enumeration (sequential and
-// parallel at several worker counts), BDD-based symbolic traversal (with
-// and without garbage collection and dynamic reordering), and stubborn-set
-// partial-order reduction — is checked against every other on a shared
-// corpus of testdata specifications and generated families.
+// state-space engine of Section 2.2 — explicit enumeration, BDD-based
+// symbolic traversal (with and without garbage collection and dynamic
+// reordering), and stubborn-set partial-order reduction — is checked
+// against every other on a shared corpus of testdata specifications and
+// generated families.
 //
 // The agreed-on observables are the reachable state count, the set of
 // deadlocked markings (which stubborn sets preserve exactly), and, for STG
-// models, the Complete State Coding verdict. The suite is table-driven and
+// models, the Complete State Coding verdict of the state-graph analysis and
+// of the next-state function deriver. The suite is table-driven and
 // runs under plain `go test ./...`; scripts/verify.sh additionally runs it
 // under the race detector.
 package conformance

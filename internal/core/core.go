@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -41,15 +42,15 @@ type Options struct {
 	// Reach bounds state-graph construction.
 	Reach reach.Options
 	// Workers sizes the worker pools of the encoding candidate search and
-	// the per-signal logic derivation. 0 or 1 runs the sequential reference
-	// paths; any count produces bit-identical results.
+	// the per-signal logic derivation. 0 or 1 is a pool of one; any count
+	// produces bit-identical results.
 	Workers int
 	// Budget bounds the whole flow: its cancellation and resource ceilings
 	// are threaded into every phase (state graph, encoding, logic,
 	// verification). nil is unlimited.
 	Budget *budget.Budget
 	// Fallback enables the degradation ladder: when a budget limit or a
-	// recovered worker panic (never a cancellation) trips state-graph
+	// recovered explorer panic (never a cancellation) trips state-graph
 	// construction, analysis is retried with progressively cheaper engines
 	// — symbolic BDD traversal, then stubborn-set reduced exploration, then
 	// capped explicit exploration — each under the remaining budget. A
@@ -203,7 +204,7 @@ func (r *Report) timingLine(b *strings.Builder) {
 // With Options.Budget set, every phase honors the budget's cancellation and
 // resource ceilings and aborts with the typed budget errors (errors.Is
 // against budget.ErrCanceled / budget.Sentinel). With Options.Fallback also
-// set, a budget *limit* or a recovered worker panic during state-graph
+// set, a budget *limit* or a recovered panic during state-graph
 // construction degrades to cheaper analysis engines instead of failing; see
 // Options.Fallback.
 func Synthesize(g *stg.STG, opts Options) (*Report, error) {
@@ -234,7 +235,7 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 		ropts.Obs = sgSpan
 	}
 	phase := time.Now()
-	baseSG, err := reach.BuildSG(g, ropts)
+	baseSG, err := buildSG(g, ropts)
 	if err != nil {
 		sgSpan.End()
 		sgDur := time.Since(phase)
@@ -242,7 +243,7 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 		var ie *budget.ErrInternal
 		isLimit := errors.As(err, &le)
 		if opts.Fallback && (isLimit || errors.As(err, &ie)) {
-			// A resource ceiling or a recovered worker panic tripped the
+			// A resource ceiling or a recovered explorer panic tripped the
 			// explicit build: try the cheaper engines. le is the zero value
 			// on the panic path (0 states counted), which degrade reports
 			// faithfully.
@@ -367,6 +368,19 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 	return rep, nil
 }
 
+// buildSG is the explicit state-graph build, with a panic in the explorer
+// recovered into budget.ErrInternal: the degradation ladder then treats it
+// like a resource limit, and callers such as the service layer's crash
+// retry see a typed error instead of a crashed process.
+func buildSG(g *stg.STG, opts reach.Options) (sg *ts.SG, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			sg, err = nil, budget.Internal(r, debug.Stack())
+		}
+	}()
+	return reach.BuildSG(g, opts)
+}
+
 // budgetErr reports whether err belongs to the budget taxonomy — a
 // cancellation, a resource limit, or a recovered worker panic. Such errors
 // pass through Synthesize unwrapped so errors.Is/As keep working, with the
@@ -378,7 +392,7 @@ func budgetErr(err error) bool {
 }
 
 // degrade runs the analysis-only fallback ladder after the explicit
-// state-graph build tripped a budget limit or recovered a worker panic:
+// state-graph build tripped a budget limit or recovered a panic:
 // symbolic BDD traversal (counts
 // states without enumerating them), then stubborn-set reduced exploration
 // (deadlock-preserving), then capped explicit exploration — the guaranteed

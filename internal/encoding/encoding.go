@@ -183,8 +183,8 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 // rankedInsertions tries every (rise, fall) pair of insertion points around
 // non-input transitions and returns the property-preserving candidates that
 // reduce the conflict count, ranked by (conflicts, literal cost, order).
-// With ctx.workers > 1 the pairs are evaluated by the memoized parallel
-// evaluator; the ranking — and thus the returned list — is identical.
+// The pairs are scored by the memoized evaluator pool; the ranking — and
+// thus the returned list — is identical at any pool size.
 func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
 	baseSG, err := ctx.buildSG(g)
 	if err != nil {
@@ -209,12 +209,7 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 			pairs = append(pairs, insPair{r: r, f: f, order: order})
 		}
 	}
-	var all []scored
-	if ctx.workers > 1 {
-		all, err = evalPairsParallel(g, name, pairs, baseConflicts, ctx)
-	} else {
-		all, err = evalPairsSequential(g, name, pairs, baseConflicts, ctx)
-	}
+	all, err := ctx.evalPairs(g, name, pairs, baseConflicts, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -239,38 +234,6 @@ func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solu
 		}
 	}
 	return out, nil
-}
-
-// evalPairsSequential is the reference evaluator: one candidate at a time on
-// the solve-wide scratch arena. Budget cancellation is polled once per
-// candidate, matching the parallel evaluator's abort points.
-func evalPairsSequential(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
-	var all []scored
-	for _, p := range pairs {
-		ctx.checks.Inc()
-		if err := ctx.bgt.Check("encoding.eval"); err != nil {
-			return nil, err
-		}
-		cand, err := InsertSignalAt(g, name, p.r, p.f)
-		if err != nil {
-			continue
-		}
-		ctx.candidates.Inc()
-		sg, m := evaluateCandidate(cand, baseConflicts, ctx.arena)
-		if !m.ok {
-			continue
-		}
-		all = append(all, scored{
-			sol: &Solution{
-				STG:         cand,
-				SG:          sg,
-				Description: describeInsertion(g, name, p.r, p.f),
-				Literals:    m.lits,
-			},
-			key: [3]int{m.conflicts, m.lits, p.order},
-		})
-	}
-	return all, nil
 }
 
 func less(a, b [3]int) bool {

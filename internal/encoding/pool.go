@@ -17,13 +17,12 @@ import (
 
 // Options configure the CSC solvers.
 type Options struct {
-	// Workers selects the memoized parallel candidate evaluator when > 1:
-	// the (rise, fall) insertion pairs of every ranking round are fanned out
-	// across a worker pool, and a canonical-signature memo lets symmetric
-	// insertion points (isomorphic candidate STGs) share one evaluation. The
+	// Workers sizes the candidate evaluator's pool: the (rise, fall)
+	// insertion pairs of every ranking round are fanned out across it, and
+	// a canonical-signature memo lets symmetric insertion points (isomorphic
+	// candidate STGs) share one evaluation. 0 or 1 is a pool of one. The
 	// ranking key stays (conflicts, literals, enumeration order), so the
-	// solution list is bit-identical to the sequential evaluator's at any
-	// worker count. 0 or 1 runs the sequential reference evaluator.
+	// solution list is identical at any worker count.
 	Workers int
 	// Budget adds cancellation between candidate evaluations; nil is
 	// unlimited. Each candidate builds a full state graph, so the check runs
@@ -44,14 +43,17 @@ func (o Options) workers() int {
 	return 1
 }
 
-// evalCtx carries the per-solve evaluation state: the worker count, the
-// sequential path's reusable reachability arena, the solve budget and the
+// evalCtx carries the per-solve evaluation state: one reusable
+// reachability arena per pool worker (the first also serves the base builds
+// between rounds), the round evaluator, the solve budget and the
 // observability handles (engine span plus the encoding.* counters, all nil
 // no-ops when observability is off).
 type evalCtx struct {
-	workers int
-	arena   *reach.Arena
-	bgt     *budget.Budget
+	arenas []*reach.Arena
+	bgt    *budget.Budget
+	// evalPairs scores one round's insertion pairs. Production solves use
+	// the pool; tests swap in the sequential reference evaluator.
+	evalPairs func(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error)
 
 	sp         *obs.Span
 	candidates *obs.Counter
@@ -63,10 +65,14 @@ type evalCtx struct {
 func newEvalCtx(opts Options) *evalCtx {
 	sp := opts.Obs.Child("engine:encoding")
 	reg := sp.Registry()
+	arenas := make([]*reach.Arena, opts.workers())
+	for i := range arenas {
+		arenas[i] = reach.NewArena()
+	}
 	return &evalCtx{
-		workers:    opts.workers(),
-		arena:      reach.NewArena(),
+		arenas:     arenas,
 		bgt:        opts.Budget,
+		evalPairs:  evalPairs,
 		sp:         sp,
 		candidates: reg.Counter("encoding.candidates"),
 		memoHits:   reg.Counter("encoding.memo_hits"),
@@ -89,7 +95,7 @@ func (c *evalCtx) finish(err error) {
 }
 
 func (c *evalCtx) buildSG(g *stg.STG) (*ts.SG, error) {
-	sg, err := reach.BuildSG(g, reach.Options{Arena: c.arena, Budget: c.bgt})
+	sg, err := reach.BuildSG(g, reach.Options{Arena: c.arenas[0], Budget: c.bgt})
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +111,11 @@ type candMetrics struct {
 	lits      int
 }
 
-// evaluateCandidate scores one inserted-signal candidate exactly as the
-// historical sequential loop did: build the SG (candidates violating
-// consistency or safety fail here), require persistency and deadlock
-// freedom, require conflict-count progress, and cost the solved candidates
-// by complex-gate literals. Unsolved survivors carry unsolvedLiteralCost.
+// evaluateCandidate scores one inserted-signal candidate: build the SG
+// (candidates violating consistency or safety fail here), require
+// persistency and deadlock freedom, require conflict-count progress, and
+// cost the solved candidates by complex-gate literals. Unsolved survivors
+// carry unsolvedLiteralCost.
 func evaluateCandidate(cand *stg.STG, baseConflicts int, ar *reach.Arena) (*ts.SG, candMetrics) {
 	sg, err := reach.BuildSG(cand, reach.Options{Arena: ar})
 	if err != nil {
@@ -158,18 +164,19 @@ type memoEntry struct {
 	m    candMetrics
 }
 
-// evalPairsParallel fans the candidate evaluations across workers goroutines,
-// each with its own reachability arena. Results land in a slot per pair, so
-// assembly order — and with it the ranking — is the enumeration order, not
-// the completion order. Memo-hit survivors come back without an SG; the
-// caller rebuilds the few that survive the ranked cut.
+// evalPairs fans the candidate evaluations across the pool's workers, each
+// on its own reachability arena; a pool of one runs its worker on the
+// caller's goroutine. Results land in a slot per pair, so assembly order —
+// and with it the ranking — is the enumeration order, not the completion
+// order. Memo-hit survivors come back without an SG; the caller rebuilds
+// the few that survive the ranked cut.
 //
 // The pool is panic-safe: a panicking worker closes any memo entry it owns
 // (so no sibling blocks forever on a singleflight slot), stops the others,
 // and surfaces as budget.ErrInternal with the captured stack. Budget
 // cancellation is polled once per candidate and aborts the same way.
-func evalPairsParallel(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
-	workers, bgt := ctx.workers, ctx.bgt
+func evalPairs(g *stg.STG, name string, pairs []insPair, baseConflicts int, ctx *evalCtx) ([]scored, error) {
+	workers, bgt := len(ctx.arenas), ctx.bgt
 	type result struct {
 		cand *stg.STG
 		sg   *ts.SG
@@ -181,72 +188,79 @@ func evalPairsParallel(g *stg.STG, name string, pairs []insPair, baseConflicts i
 	var next atomic.Int64
 	var stop atomic.Bool
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := ctx.sp.ChildLane("worker:"+strconv.Itoa(w+1), w+1)
-			defer wsp.End()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = budget.Internal(r, debug.Stack())
-					stop.Store(true)
+	worker := func(w int) {
+		wsp := ctx.sp.ChildLane("worker:"+strconv.Itoa(w+1), w+1)
+		defer wsp.End()
+		defer func() {
+			if r := recover(); r != nil {
+				errs[w] = budget.Internal(r, debug.Stack())
+				stop.Store(true)
+			}
+		}()
+		ar := ctx.arenas[w]
+		for {
+			if stop.Load() {
+				return
+			}
+			ctx.checks.Inc()
+			if err := bgt.Check("encoding.eval"); err != nil {
+				errs[w] = err
+				stop.Store(true)
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= len(pairs) {
+				return
+			}
+			p := pairs[i]
+			cand, err := InsertSignalAt(g, name, p.r, p.f)
+			if err != nil {
+				continue
+			}
+			sig := canonicalSignature(cand)
+			mu.Lock()
+			e, hit := memo[sig]
+			if !hit {
+				e = &memoEntry{done: make(chan struct{})}
+				memo[sig] = e
+			}
+			mu.Unlock()
+			if hit {
+				ctx.memoHits.Inc()
+				<-e.done
+				if e.m.ok {
+					results[i] = result{cand: cand, m: e.m}
+				}
+				continue
+			}
+			ctx.memoMisses.Inc()
+			ctx.candidates.Inc()
+			// The deferred close keeps the singleflight slot from wedging
+			// siblings if the evaluation panics; the zero metrics they then
+			// read mark the candidate failed.
+			func() {
+				defer close(e.done)
+				sg, m := evaluateCandidate(cand, baseConflicts, ar)
+				e.m = m
+				if m.ok {
+					results[i] = result{cand: cand, sg: sg, m: m}
 				}
 			}()
-			ar := reach.NewArena()
-			for {
-				if stop.Load() {
-					return
-				}
-				ctx.checks.Inc()
-				if err := bgt.Check("encoding.eval"); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) {
-					return
-				}
-				p := pairs[i]
-				cand, err := InsertSignalAt(g, name, p.r, p.f)
-				if err != nil {
-					continue
-				}
-				sig := canonicalSignature(cand)
-				mu.Lock()
-				e, hit := memo[sig]
-				if !hit {
-					e = &memoEntry{done: make(chan struct{})}
-					memo[sig] = e
-				}
-				mu.Unlock()
-				if hit {
-					ctx.memoHits.Inc()
-					<-e.done
-					if e.m.ok {
-						results[i] = result{cand: cand, m: e.m}
-					}
-					continue
-				}
-				ctx.memoMisses.Inc()
-				ctx.candidates.Inc()
-				// The deferred close keeps the singleflight slot from
-				// wedging siblings if the evaluation panics; the zero
-				// metrics they then read mark the candidate failed.
-				func() {
-					defer close(e.done)
-					sg, m := evaluateCandidate(cand, baseConflicts, ar)
-					e.m = m
-					if m.ok {
-						results[i] = result{cand: cand, sg: sg, m: m}
-					}
-				}()
-			}
-		}(w)
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		worker(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				worker(w)
+			}(w)
+		}
+		wg.Wait()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

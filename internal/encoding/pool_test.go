@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/stg"
 	"repro/internal/vme"
 )
 
-var solverWorkerCounts = []int{2, 4, 8}
+var solverWorkerCounts = []int{1, 2, 4}
 
 // doublePulseSeq builds a purely sequential two-signal spec whose cycle
 // x+ y+ x- y- x+/1 y+/1 x-/1 y-/1 revisits every code twice: maximally
@@ -32,10 +33,12 @@ func doublePulseSeq() *stg.STG {
 	return g
 }
 
-// TestSolutionsDeterministicAcrossWorkers is the tentpole guarantee: the
-// solution list — descriptions, literal costs, order, and the solved state
-// graphs themselves — is bit-identical at every worker count. Run under
-// -race this also exercises the memo and result slots concurrently.
+// TestSolutionsDeterministicAcrossWorkers is the solver's determinism
+// guarantee: the solution list — descriptions, literal costs, order, the
+// solved STGs and their state graphs — is DeepEqual to the sequential
+// reference evaluator's (no memo, every candidate built) at every pool
+// size, the pool of one included. Run under -race this also exercises the
+// memo and result slots concurrently.
 func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 	models := []struct {
 		name  string
@@ -48,9 +51,9 @@ func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 		{"dpseq", doublePulseSeq(), 3},
 	}
 	for _, mdl := range models {
-		ref, err := SolutionsOpts(mdl.g, 0, mdl.limit, Options{})
+		ref, err := solutionsRef(mdl.g, 0, mdl.limit)
 		if err != nil {
-			t.Fatalf("%s: sequential: %v", mdl.name, err)
+			t.Fatalf("%s: reference: %v", mdl.name, err)
 		}
 		for _, w := range solverWorkerCounts {
 			got, err := SolutionsOpts(mdl.g, 0, mdl.limit, Options{Workers: w})
@@ -58,27 +61,35 @@ func TestSolutionsDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("%s w=%d: %v", mdl.name, w, err)
 			}
 			if len(got) != len(ref) {
-				t.Fatalf("%s w=%d: %d solutions, sequential found %d",
+				t.Fatalf("%s w=%d: %d solutions, reference found %d",
 					mdl.name, w, len(got), len(ref))
 			}
 			for i := range ref {
-				if got[i].Description != ref[i].Description {
-					t.Fatalf("%s w=%d sol %d: description %q, want %q",
-						mdl.name, w, i, got[i].Description, ref[i].Description)
+				if got[i].Description != ref[i].Description || got[i].Literals != ref[i].Literals {
+					t.Fatalf("%s w=%d sol %d: %q (%d literals), want %q (%d literals)",
+						mdl.name, w, i, got[i].Description, got[i].Literals,
+						ref[i].Description, ref[i].Literals)
 				}
-				if got[i].Literals != ref[i].Literals {
-					t.Fatalf("%s w=%d sol %d: literals %d, want %d",
-						mdl.name, w, i, got[i].Literals, ref[i].Literals)
-				}
-				if !reflect.DeepEqual(got[i].SG.States, ref[i].SG.States) ||
-					!reflect.DeepEqual(got[i].SG.Out, ref[i].SG.Out) {
-					t.Fatalf("%s w=%d sol %d: state graphs differ", mdl.name, w, i)
-				}
-				if canonicalSignature(got[i].STG) != canonicalSignature(ref[i].STG) {
-					t.Fatalf("%s w=%d sol %d: solved STGs differ structurally", mdl.name, w, i)
+				if !reflect.DeepEqual(got[i], ref[i]) {
+					t.Fatalf("%s w=%d sol %d: solution differs from the reference", mdl.name, w, i)
 				}
 			}
 		}
+	}
+}
+
+// TestMemoHitsAtOneWorker: the pool of one shares the canonical-signature
+// memo, so symmetric insertion points on VME read-write are scored once.
+func TestMemoHitsAtOneWorker(t *testing.T) {
+	reg := obs.NewRegistry()
+	root := reg.Root("flow:test")
+	if _, err := SolutionsOpts(vme.ReadWriteSTG(), 0, 2, Options{Workers: 1, Obs: root}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	snap := reg.Snapshot()
+	if hits := snap.Counters["encoding.memo_hits"]; hits <= 0 {
+		t.Fatalf("encoding.memo_hits = %d at Workers: 1, want > 0", hits)
 	}
 }
 

@@ -31,9 +31,10 @@ const (
 	// resource ceiling tripped at that exact point.
 	Limit
 	// Panic panics in the goroutine running the check. Inject it only at
-	// worker-pool sites ("reach.parallel.worker", "encoding.eval",
-	// "logic.worker"): those recover into budget.ErrInternal; coordinator
-	// sites propagate the panic to the caller by design.
+	// sites that recover into budget.ErrInternal — the worker pools
+	// ("encoding.eval", "logic.worker") and, under core.Synthesize, the
+	// explicit state-graph build ("reach.explore"); elsewhere the panic
+	// propagates to the caller by design.
 	Panic
 )
 

@@ -28,8 +28,6 @@ func TestPropInjection(t *testing.T) {
 	}{
 		{prop.EngineExplicit, 1, Plan{Mode: Cancel, N: 3, Site: "reach.explore"}},
 		{prop.EngineExplicit, 1, Plan{Mode: Limit, N: 5, Site: "reach.explore"}},
-		{prop.EngineExplicit, 2, Plan{Mode: Cancel, N: 4, Site: "reach.parallel.worker"}},
-		{prop.EngineExplicit, 2, Plan{Mode: Panic, N: 2, Site: "reach.parallel.worker"}},
 		{prop.EngineExplicit, 1, Plan{Mode: Cancel, N: 2, Site: "prop.explicit"}},
 		{prop.EngineExplicit, 1, Plan{Mode: Limit, N: 40, Site: "prop.explicit"}},
 		{prop.EngineExplicit, 1, Plan{Mode: Cancel, N: 1, Site: "prop.fix"}},

@@ -80,8 +80,8 @@ func IndependentToggles(n int) *petri.Net {
 // stage (csc_i+ after a_i+, csc_i- after a_i+/1 splits both pairs).
 // The state graph has 6k states and the net 6k transitions, so the solver's
 // candidate space grows quadratically with k while every candidate rebuild
-// stays linear — the worst case for the serial search and the best target
-// for the memoized parallel one. k is clamped to at least 2: the k=1 ring
+// stays linear — the worst case for the candidate search and the best
+// target for its signature memo and worker pool. k is clamped to at least 2: the k=1 ring
 // degenerates (its b pulse separates the two a pulses, which needs two
 // inserted signals instead of one).
 func CSCRing(k int) *stg.STG {

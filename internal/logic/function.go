@@ -154,18 +154,7 @@ func deriveCover(on, off []uint64, n int) boolmin.Cover {
 
 // DeriveAll derives the next-state functions of every non-input signal.
 func DeriveAll(g *ts.SG) ([]Function, error) {
-	var out []Function
-	for sig, s := range g.Signals {
-		if s.Kind != stg.Output && s.Kind != stg.Internal {
-			continue
-		}
-		f, err := Derive(g, sig)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
+	return DeriveAllOpts(g, Options{})
 }
 
 // ExcitationRegions returns the connected components of ER(sig,dir): the

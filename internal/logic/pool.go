@@ -16,13 +16,10 @@ import (
 
 // Options configure the derivation and synthesis entry points.
 type Options struct {
-	// Workers selects the shared-extraction parallel deriver when > 1: one
-	// pass over the state graph computes every signal's next-state
-	// information at once (per-signal scans disappear), and the per-signal
-	// cover minimizations fan out across a worker pool. Functions and
-	// netlists are bit-identical to the sequential reference path at any
-	// worker count. 0 or 1 runs the sequential per-signal reference
-	// implementation.
+	// Workers sizes the pool the per-signal cover minimizations fan out
+	// across, after one shared pass over the state graph has computed every
+	// signal's next-state information. 0 or 1 is a pool of one. Functions
+	// and netlists are identical at any worker count.
 	Workers int
 	// Budget adds cancellation between per-signal minimizations; nil is
 	// unlimited.
@@ -163,10 +160,11 @@ func nonInputs(signals []stg.Signal) []int {
 	return out
 }
 
-// DeriveAllOpts is DeriveAll with explicit options. With Workers > 1 the
-// shared-extraction deriver runs: per-signal state scans collapse into one
-// pass and the cover minimizations fan out across the pool. The returned
-// functions — minterm order, covers, errors — are identical to DeriveAll's.
+// DeriveAllOpts is DeriveAll with explicit options: one shared pass over
+// the state graph computes every signal's next-state information, and the
+// per-signal cover minimizations fan out across the Options.Workers pool.
+// A CSC conflict is reported as Derive's witness error, for the first
+// conflicted signal in signal order.
 func DeriveAllOpts(g *ts.SG, opts Options) ([]Function, error) {
 	sp := opts.Obs.Child("engine:logic")
 	fs, err := deriveAllOpts(g, opts, sp)
@@ -198,10 +196,6 @@ func recordLogic(sp *obs.Span, signals, literals int, err error) {
 }
 
 func deriveAllOpts(g *ts.SG, opts Options, sp *obs.Span) ([]Function, error) {
-	w := opts.workers()
-	if w <= 1 {
-		return DeriveAll(g)
-	}
 	sigs := nonInputs(g.Signals)
 	ex := extract(g)
 	ex.minCalls = sp.Registry().Counter("logic.minimizer_calls")
@@ -216,7 +210,7 @@ func deriveAllOpts(g *ts.SG, opts Options, sp *obs.Span) ([]Function, error) {
 		}
 	}
 	out := make([]Function, len(sigs))
-	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(i int) {
+	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(i int) {
 		out[i] = ex.deriveShared(sigs[i])
 	}); err != nil {
 		return nil, err
@@ -225,7 +219,7 @@ func deriveAllOpts(g *ts.SG, opts Options, sp *obs.Span) ([]Function, error) {
 }
 
 // SynthesizeOpts is Synthesize with explicit options; see DeriveAllOpts for
-// the Workers > 1 path. Netlists are identical at any worker count.
+// the shared pass and the pool. Netlists are identical at any worker count.
 func SynthesizeOpts(g *ts.SG, style Style, opts Options) (*Netlist, error) {
 	sp := opts.Obs.Child("engine:logic")
 	nl, err := synthesizeOpts(g, style, opts, sp)
@@ -246,10 +240,6 @@ func SynthesizeOpts(g *ts.SG, style Style, opts Options) (*Netlist, error) {
 }
 
 func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist, error) {
-	w := opts.workers()
-	if w <= 1 {
-		return Synthesize(g, style)
-	}
 	nl := &Netlist{Name: g.Name}
 	for _, s := range g.Signals {
 		nl.AddSignal(s.Name, s.Kind)
@@ -273,7 +263,7 @@ func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist
 		}
 	}
 	gates := make([]Gate, len(sigs))
-	if err := runWorkers(w, len(sigs), opts.Budget, sp, func(i int) {
+	if err := runWorkers(opts.workers(), len(sigs), opts.Budget, sp, func(i int) {
 		gates[i] = ex.synthesizeShared(sigs[i], style)
 	}); err != nil {
 		return nil, err
@@ -286,8 +276,7 @@ func synthesizeOpts(g *ts.SG, style Style, opts Options, sp *obs.Span) (*Netlist
 }
 
 // srConflict checks sig's monotonous-cover consistency condition and reports
-// the first conflicting code in first-seen order (the reference
-// SetResetCovers reports an arbitrary one — it walks a map).
+// the first conflicting code in first-seen order.
 func (ex *extraction) srConflict(sig int) error {
 	bit := ts.Code(1) << uint(sig)
 	for i, c := range ex.codes {
@@ -302,8 +291,8 @@ func (ex *extraction) srConflict(sig int) error {
 	return nil
 }
 
-// synthesizeShared mirrors synthesizeSignal on the shared extraction. The
-// caller has already ruled out CSC conflicts for sig.
+// synthesizeShared builds sig's gate from the shared extraction. The caller
+// has already ruled out CSC conflicts for sig.
 func (ex *extraction) synthesizeShared(sig int, style Style) Gate {
 	if style == ComplexGate {
 		f := ex.deriveShared(sig)
@@ -317,8 +306,14 @@ func (ex *extraction) synthesizeShared(sig int, style Style) Gate {
 	return Gate{Kind: kind, Output: sig, Set: set, Reset: reset}
 }
 
-// setResetCovers mirrors SetResetCovers on the shared extraction: identical
-// monotonous-cover on/off assignment per unique code, in first-seen order.
+// setResetCovers derives the set and reset networks of sig per unique code,
+// in first-seen order, under the monotonous-cover discipline:
+//
+//	set:   on = ER(z+) codes, off = ER(z-) ∪ QR(z-) codes, dc = QR(z+) ∪ unreachable
+//	reset: on = ER(z-) codes, off = ER(z+) ∪ QR(z+) codes, dc = QR(z-) ∪ unreachable
+//
+// The set network may stay asserted through the quiescent-high region but
+// must be off wherever the signal is low or falling.
 func (ex *extraction) setResetCovers(sig int) (set, reset boolmin.Cover) {
 	bit := ts.Code(1) << uint(sig)
 	var setOn, setOff, resetOn, resetOff []uint64
@@ -346,51 +341,56 @@ func (ex *extraction) setResetCovers(sig int) (set, reset boolmin.Cover) {
 	return set, reset
 }
 
-// runWorkers fans f over n indexes across w goroutines. Results keyed by
-// index stay deterministic however the indexes are claimed. A panicking
-// worker stops the others and the panic surfaces as budget.ErrInternal with
-// the captured stack; budget cancellation is polled once per index and
-// aborts the same way.
+// runWorkers fans f over n indexes across w workers. Results keyed by index
+// stay deterministic however the indexes are claimed. A pool of one runs its
+// worker on the caller's goroutine. A panicking worker stops the others and
+// the panic surfaces as budget.ErrInternal with the captured stack; budget
+// cancellation is polled once per index and aborts the same way.
 func runWorkers(w, n int, bgt *budget.Budget, sp *obs.Span, f func(i int)) error {
-	if w > n {
-		w = n
-	}
+	w = min(w, n)
 	checks := sp.Registry().Counter("logic.budget_checks")
 	var next atomic.Int64
 	var stop atomic.Bool
 	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			wsp := sp.ChildLane("worker:"+strconv.Itoa(k+1), k+1)
-			defer wsp.End()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[k] = budget.Internal(r, debug.Stack())
-					stop.Store(true)
-				}
-			}()
-			for {
-				if stop.Load() {
-					return
-				}
-				checks.Inc()
-				if err := bgt.Check("logic.worker"); err != nil {
-					errs[k] = err
-					stop.Store(true)
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
+	worker := func(k int) {
+		wsp := sp.ChildLane("worker:"+strconv.Itoa(k+1), k+1)
+		defer wsp.End()
+		defer func() {
+			if r := recover(); r != nil {
+				errs[k] = budget.Internal(r, debug.Stack())
+				stop.Store(true)
 			}
-		}(k)
+		}()
+		for {
+			if stop.Load() {
+				return
+			}
+			checks.Inc()
+			if err := bgt.Check("logic.worker"); err != nil {
+				errs[k] = err
+				stop.Store(true)
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			f(i)
+		}
 	}
-	wg.Wait()
+	if w == 1 {
+		worker(0)
+	} else {
+		var wg sync.WaitGroup
+		for k := 0; k < w; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				worker(k)
+			}(k)
+		}
+		wg.Wait()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

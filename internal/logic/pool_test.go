@@ -13,7 +13,7 @@ import (
 	"repro/internal/vme"
 )
 
-var logicWorkerCounts = []int{2, 4, 8}
+var logicWorkerCounts = []int{0, 1, 2, 4, 8}
 
 // solvedSG runs the CSC solver on g and returns the implementable SG.
 func solvedSG(t testing.TB, k int) *ts.SG {
@@ -37,12 +37,12 @@ func parityModels(t testing.TB) map[string]*ts.SG {
 	}
 }
 
-// TestDeriveAllOptsMatchesSequential: the shared-extraction parallel deriver
-// returns functions — minterm lists, covers, everything — bit-identical to
-// the sequential per-signal reference at every worker count.
+// TestDeriveAllOptsMatchesSequential: the shared-extraction deriver returns
+// functions — minterm lists, covers, everything — bit-identical to the
+// per-signal reference at every worker count, the pool of one included.
 func TestDeriveAllOptsMatchesSequential(t *testing.T) {
 	for name, sg := range parityModels(t) {
-		ref, err := logic.DeriveAll(sg)
+		ref, err := logic.DeriveAllRef(sg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -52,7 +52,7 @@ func TestDeriveAllOptsMatchesSequential(t *testing.T) {
 				t.Fatalf("%s w=%d: %v", name, w, err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s w=%d: derived functions differ from sequential", name, w)
+				t.Fatalf("%s w=%d: derived functions differ from the reference", name, w)
 			}
 		}
 	}
@@ -64,7 +64,7 @@ func TestSynthesizeOptsMatchesSequential(t *testing.T) {
 	styles := []logic.Style{logic.ComplexGate, logic.GeneralizedC, logic.StandardC}
 	for name, sg := range parityModels(t) {
 		for _, style := range styles {
-			ref, err := logic.Synthesize(sg, style)
+			ref, err := logic.SynthesizeRef(sg, style)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, style, err)
 			}
@@ -74,24 +74,24 @@ func TestSynthesizeOptsMatchesSequential(t *testing.T) {
 					t.Fatalf("%s %v w=%d: %v", name, style, w, err)
 				}
 				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("%s %v w=%d: netlist differs from sequential", name, style, w)
+					t.Fatalf("%s %v w=%d: netlist differs from the reference", name, style, w)
 				}
 			}
 		}
 	}
 }
 
-// TestDeriveAllOptsCSCError: on a conflicted SG the parallel deriver
-// reproduces the sequential deriver's exact witness error.
+// TestDeriveAllOptsCSCError: on a conflicted SG the shared-extraction
+// deriver reproduces the per-signal reference's exact witness error.
 func TestDeriveAllOptsCSCError(t *testing.T) {
 	sg, err := reach.BuildSG(vme.ReadSTG(), reach.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, refErr := logic.DeriveAll(sg)
+	_, refErr := logic.DeriveAllRef(sg)
 	var ref *logic.CSCError
 	if !errors.As(refErr, &ref) {
-		t.Fatalf("sequential: want *CSCError, got %v", refErr)
+		t.Fatalf("reference: want *CSCError, got %v", refErr)
 	}
 	for _, w := range logicWorkerCounts {
 		_, gotErr := logic.DeriveAllOpts(sg, logic.Options{Workers: w})

@@ -80,8 +80,8 @@ func TestRegistryMerge(t *testing.T) {
 	agg := NewRegistry()
 	agg.Counter("reach.states").Add(5)
 	agg.Gauge("symbolic.peak_nodes").Max(400)
-	agg.Merge(job.Snapshot())
-	agg.Merge(job.Snapshot())
+	agg.MergeRetain(job.Snapshot(), nil)
+	agg.MergeRetain(job.Snapshot(), nil)
 
 	snap := agg.Snapshot()
 	if err := snap.Validate(); err != nil {
@@ -104,13 +104,13 @@ func TestRegistryMerge(t *testing.T) {
 	// Bound-mismatched histograms are skipped, not corrupted.
 	other := NewRegistry()
 	other.Histogram("logic.cover_size", 7, 9).Observe(8)
-	agg.Merge(other.Snapshot())
+	agg.MergeRetain(other.Snapshot(), nil)
 	if got := agg.Snapshot().Histograms["logic.cover_size"]; got.Count != 2 {
 		t.Fatalf("mismatched-bounds merge changed histogram: %+v", got)
 	}
 
 	// Nil receiver and nil snapshot are no-ops.
 	var nilReg *Registry
-	nilReg.Merge(job.Snapshot())
-	agg.Merge(nil)
+	nilReg.MergeRetain(job.Snapshot(), nil)
+	agg.MergeRetain(nil, nil)
 }

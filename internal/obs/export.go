@@ -133,15 +133,19 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return r.Snapshot().WriteJSON(w)
 }
 
-// Merge folds a snapshot's instruments into the registry: counters are
-// added, gauges raised to the snapshot value when larger, and histograms
-// merged bucket-for-bucket when the bounds agree (shape mismatches skip that
-// histogram rather than corrupt the aggregate). Spans are not merged, so
-// short-lived per-request registries can fold into a long-running aggregate
-// registry without unbounded span growth — see the package-doc aggregation
-// contract. Callers that must not lose the span tree use MergeRetain (with a
-// TraceRing as the usual sink). Nil receiver or snapshot is a no-op.
-func (r *Registry) Merge(s *Snapshot) {
+// MergeRetain folds a snapshot's scalar instruments into the registry:
+// counters are added, gauges raised to the snapshot value when larger, and
+// histograms merged bucket-for-bucket when the bounds agree (shape
+// mismatches skip that histogram rather than corrupt the aggregate). Spans
+// are not merged, so short-lived per-request registries can fold into a
+// long-running aggregate registry without unbounded span growth — see the
+// package-doc aggregation contract. Instead of silently discarding the span
+// tree, MergeRetain hands the snapshot to retain when it carries spans: a
+// server folds every per-request registry into its aggregate while keeping
+// the request's trace in a bounded store (TraceRing.Put is the canonical
+// retain callback). A nil retain drops the spans. Nil receiver or snapshot
+// is a no-op.
+func (r *Registry) MergeRetain(s *Snapshot, retain func(*Snapshot)) {
 	if r == nil || s == nil {
 		return
 	}
@@ -165,18 +169,7 @@ func (r *Registry) Merge(s *Snapshot) {
 		h.sum.Add(hs.Sum)
 		h.n.Add(hs.Count)
 	}
-}
-
-// MergeRetain folds the snapshot's scalar instruments into the registry
-// exactly like Merge, and — instead of silently discarding the span tree —
-// hands the snapshot to retain when it carries spans. This is the span
-// retention hook of the aggregation contract: a server folds every
-// per-request registry into its aggregate while keeping the request's trace
-// in a bounded store (TraceRing.Put is the canonical retain callback). A nil
-// retain degrades to plain Merge.
-func (r *Registry) MergeRetain(s *Snapshot, retain func(*Snapshot)) {
-	r.Merge(s)
-	if s != nil && retain != nil && len(s.Spans) > 0 {
+	if retain != nil && len(s.Spans) > 0 {
 		retain(s)
 	}
 }

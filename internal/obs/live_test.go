@@ -103,7 +103,7 @@ func TestMergeRetain(t *testing.T) {
 	if retained != nil {
 		t.Fatal("retain invoked for a span-free snapshot")
 	}
-	// Nil retain degrades to Merge.
+	// A nil retain drops the spans.
 	agg.MergeRetain(snap, nil)
 	if got := agg.Counter("c").Value(); got != 7 {
 		t.Fatalf("counter after nil-retain merge = %d, want 7", got)

@@ -19,14 +19,14 @@
 // # Aggregation contract
 //
 // Long-running processes fold many short-lived per-request registries into
-// one aggregate via Merge, which combines scalar instruments only: counters
-// add, gauges raise to the larger value, histograms merge bucket-for-bucket.
-// Span trees are deliberately NOT merged — spans are per-request data, and an
-// aggregate registry that accumulated every request's tree would grow without
-// bound. A caller that wants to keep them has two supported paths: MergeRetain
-// hands the snapshot (spans intact) to a retention callback in the same call
-// that folds the scalars, and TraceRing is the bounded newest-N store built
-// for exactly that callback. Live consumers subscribe with SetStream instead
+// one aggregate via MergeRetain, which combines scalar instruments only:
+// counters add, gauges raise to the larger value, histograms merge
+// bucket-for-bucket. Span trees are deliberately NOT merged — spans are
+// per-request data, and an aggregate registry that accumulated every
+// request's tree would grow without bound. A caller that wants to keep them
+// passes a retention callback, which receives the snapshot (spans intact) in
+// the same call that folds the scalars; TraceRing is the bounded newest-N
+// store built for exactly that callback. Live consumers subscribe with SetStream instead
 // and receive span open/close/event records as they happen.
 package obs
 

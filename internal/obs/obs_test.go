@@ -116,7 +116,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		_ = r.Counter("reach.states")
-		_ = r.Gauge("reach.workers")
+		_ = r.Gauge("symbolic.peak_nodes")
 		_ = r.Root("flow:x")
 	}); n != 0 {
 		t.Fatalf("disabled registry lookups allocate %.1f/op, want 0", n)

@@ -7,10 +7,10 @@ import (
 
 // TraceRing is a bounded newest-N store of per-request span-tree snapshots,
 // keyed by an opaque id (the service layer uses job ids). It is the sink
-// side of the aggregation contract: Registry.Merge folds scalars into a
-// long-running aggregate and a TraceRing — fed through MergeRetain — keeps
-// the most recent span trees so "what did job X do" stays answerable after
-// the request finished, without unbounded growth.
+// side of the aggregation contract: Registry.MergeRetain folds scalars into
+// a long-running aggregate and hands the span tree to a TraceRing, which
+// keeps the most recent span trees so "what did job X do" stays answerable
+// after the request finished, without unbounded growth.
 //
 // Both bounds are enforced on Put: the entry count and the total byte size
 // (measured as the JSON encoding of each snapshot, the same bytes the trace

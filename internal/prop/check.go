@@ -95,8 +95,8 @@ type Options struct {
 	// Engine selects explicit or symbolic evaluation; EngineAuto decides
 	// from the spec size.
 	Engine Engine
-	// Workers parallelizes the explicit engine's state-space exploration
-	// (reach.Options.Workers). The symbolic engine ignores it.
+	// Workers is ignored: both engines are single-threaded. The field is
+	// kept only so existing callers that set it still compile.
 	Workers int
 	// Budget adds cancellation and state/node ceilings. On a trip the
 	// partial Report (finished verdicts kept, the rest StatusUnknown) is

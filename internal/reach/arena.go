@@ -40,7 +40,12 @@ func NewArena() *Arena {
 	return &Arena{index: make(map[string]int)}
 }
 
-const arenaBlockSize = 1 << 16
+// Marking blocks start small and double up to arenaBlockSize, so a fresh
+// arena exploring a small net stays cheap.
+const (
+	arenaFirstBlock = 1 << 9
+	arenaBlockSize  = 1 << 16
+)
 
 // reset rewinds the arena for a fresh exploration of a net with np places.
 func (a *Arena) reset(np int) {
@@ -61,9 +66,10 @@ func (a *Arena) alloc(m petri.Marking) petri.Marking {
 	for {
 		if a.cur == len(a.blocks) {
 			size := arenaBlockSize
-			if len(m) > size {
-				size = len(m)
+			if len(a.blocks) < 7 {
+				size = arenaFirstBlock << len(a.blocks)
 			}
+			size = max(size, len(m))
 			a.blocks = append(a.blocks, make([]byte, 0, size))
 		}
 		b := a.blocks[a.cur]
@@ -87,12 +93,10 @@ func (a *Arena) outSlot(idx int) []Step {
 	return nil
 }
 
-// exploreArena is the sequential explorer running entirely on arena scratch.
-// It produces a Graph bit-identical to Explore's (same state numbering,
-// edges, index, nil-vs-empty adjacency and error behavior), but with
-// near-zero allocation churn: markings are bump-allocated, the visited map
-// is reused, and enabledness candidates are fired into a single scratch
-// buffer.
+// exploreArena is the explorer, running entirely on arena scratch: markings
+// are bump-allocated, the visited map is reused, and enabledness candidates
+// are fired into a single scratch buffer, so a warm arena explores with
+// near-zero allocation churn.
 func exploreArena(n *petri.Net, opts Options, a *Arena) (*Graph, error) {
 	a.reset(len(n.Places))
 	g := &Graph{Net: n, Index: a.index}
@@ -139,7 +143,7 @@ func exploreArena(n *petri.Net, opts Options, a *Arena) (*Graph, error) {
 			steps = append(steps, Step{Transition: t, To: idx})
 		}
 		if len(steps) == 0 {
-			steps = nil // match the non-arena explorer for deadlock states
+			steps = nil // deadlock states have nil adjacency
 		}
 		a.out[head] = steps
 	}
@@ -147,8 +151,7 @@ func exploreArena(n *petri.Net, opts Options, a *Arena) (*Graph, error) {
 }
 
 // finish attaches the arena's state to g. States past lastExpanded (present
-// only on the ErrStateLimit partial graph) get the nil adjacency the
-// non-arena explorer leaves for them.
+// only on the ErrStateLimit partial graph) get nil adjacency.
 func (a *Arena) finish(g *Graph, lastExpanded int) *Graph {
 	n := len(a.markings)
 	for len(a.out) < n {

@@ -1,8 +1,11 @@
 package reach
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,9 +15,10 @@ import (
 
 // TestArenaMatchesSequential reuses ONE arena across every model, in both
 // safe and unsafe modes, and demands the exact Graph the fresh-allocation
-// explorer builds — state numbering, edges (including nil adjacency on
-// deadlock states), and index. Cross-model reuse is the point: stale scratch
-// from a big net must never leak into a small one.
+// reference explorer (exploreSeq) builds — state numbering, edges
+// (including nil adjacency on deadlock states), and index — from Explore on
+// the shared arena and on its private one. Cross-model reuse is the point:
+// stale scratch from a big net must never leak into a small one.
 func TestArenaMatchesSequential(t *testing.T) {
 	models := []struct {
 		name string
@@ -29,30 +33,77 @@ func TestArenaMatchesSequential(t *testing.T) {
 		{"phil-5", gen.Philosophers(5), true}, // has deadlock states (nil Out rows)
 		{"cscring-3", gen.CSCRing(3).Net, true},
 	}
+	type tc struct {
+		name string
+		net  *petri.Net
+		safe bool
+		ref  *Graph
+	}
+	var cases []tc
+	for _, mdl := range models {
+		// On a 1-safe net RequireSafe changes nothing, so one reference
+		// graph serves both modes.
+		ref, err := exploreSeq(mdl.net, Options{})
+		if err != nil {
+			t.Fatalf("%s: reference: %v", mdl.name, err)
+		}
+		cases = append(cases, tc{mdl.name, mdl.net, false, ref})
+		if mdl.safe {
+			cases = append(cases, tc{mdl.name, mdl.net, true, ref})
+		}
+	}
+	check := func(c tc, label string, opts Options) {
+		t.Helper()
+		got, err := Explore(c.net, opts)
+		if err != nil {
+			t.Fatalf("%s safe=%v %s: %v", c.name, c.safe, label, err)
+		}
+		if diff := graphDiff(c.ref, got); diff != "" {
+			t.Fatalf("%s safe=%v %s: %s", c.name, c.safe, label, diff)
+		}
+	}
 	a := NewArena()
 	for round := 0; round < 2; round++ {
-		for _, mdl := range models {
-			for _, safe := range []bool{false, mdl.safe} {
-				seq, err := Explore(mdl.net, Options{RequireSafe: safe})
-				if err != nil {
-					t.Fatalf("%s: sequential: %v", mdl.name, err)
-				}
-				got, err := Explore(mdl.net, Options{RequireSafe: safe, Arena: a})
-				if err != nil {
-					t.Fatalf("%s: arena: %v", mdl.name, err)
-				}
-				if !reflect.DeepEqual(seq.Markings, got.Markings) {
-					t.Fatalf("%s safe=%v: markings differ", mdl.name, safe)
-				}
-				if !reflect.DeepEqual(seq.Out, got.Out) {
-					t.Fatalf("%s safe=%v: edges differ", mdl.name, safe)
-				}
-				if !reflect.DeepEqual(seq.Index, got.Index) {
-					t.Fatalf("%s safe=%v: index differs", mdl.name, safe)
-				}
+		for _, c := range cases {
+			check(c, "shared arena", Options{RequireSafe: c.safe, Arena: a})
+			if round == 0 {
+				check(c, "private arena", Options{RequireSafe: c.safe})
 			}
 		}
 	}
+}
+
+// graphDiff reports the first difference between two graphs, "" when they
+// are identical: the same checks as reflect.DeepEqual on Markings, Out and
+// Index (nil-vs-empty adjacency included), without the reflection cost that
+// dominates on large graphs under the race detector.
+func graphDiff(want, got *Graph) string {
+	if len(want.Markings) != len(got.Markings) {
+		return fmt.Sprintf("%d states, want %d", len(got.Markings), len(want.Markings))
+	}
+	for i := range want.Markings {
+		if !bytes.Equal(want.Markings[i], got.Markings[i]) {
+			return fmt.Sprintf("marking %d differs", i)
+		}
+	}
+	if len(want.Out) != len(got.Out) {
+		return fmt.Sprintf("%d adjacency rows, want %d", len(got.Out), len(want.Out))
+	}
+	for i := range want.Out {
+		w, g := want.Out[i], got.Out[i]
+		if (w == nil) != (g == nil) || !slices.Equal(w, g) {
+			return fmt.Sprintf("edges of state %d differ", i)
+		}
+	}
+	if len(want.Index) != len(got.Index) {
+		return fmt.Sprintf("index has %d keys, want %d", len(got.Index), len(want.Index))
+	}
+	for k, v := range want.Index {
+		if gv, ok := got.Index[k]; !ok || gv != v {
+			return "index differs"
+		}
+	}
+	return ""
 }
 
 // TestArenaBuildSG checks the scratch plumbing through BuildSG: repeated
@@ -90,7 +141,7 @@ func TestArenaStateLimit(t *testing.T) {
 	if _, err := Explore(net, Options{Arena: a}); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Explore(net, Options{MaxStates: 17})
+	ref, err := exploreSeq(net, Options{MaxStates: 17})
 	if !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("want ErrStateLimit, got %v", err)
 	}

@@ -29,17 +29,9 @@ type Options struct {
 	// than one token in a place. When false, markings up to 255 tokens per
 	// place are explored (boundedness violations beyond that still fail).
 	RequireSafe bool
-	// Workers selects the parallel explorer when > 1: work-stealing
-	// frontier expansion (one Chase-Lev deque per worker) over the
-	// lock-free sharded visited table, followed by a deterministic
-	// renumbering pass, so the resulting Graph is bit-identical to the
-	// sequential explorer's regardless of worker count. 0 or 1 runs the
-	// sequential explorer.
-	Workers int
-	// Arena, when non-nil, runs the sequential explorer on reusable scratch
-	// memory: the returned Graph is bit-identical but aliases the arena and
-	// stays valid only until the arena's next use. Ignored when Workers > 1
-	// (the sharded explorer has its own per-worker storage).
+	// Arena, when non-nil, runs the exploration on reusable scratch memory:
+	// the returned Graph aliases the arena and stays valid only until the
+	// arena's next use. nil explores on a fresh private arena.
 	Arena *Arena
 	// Obs is the parent observability span (usually a phase of the synthesis
 	// flow): the explorer records an "engine:explicit" child span and the
@@ -54,13 +46,6 @@ func (o Options) maxStates() int {
 		cap = 1 << 22
 	}
 	return o.Budget.StateLimit(cap)
-}
-
-func (o Options) workers() int {
-	if o.Workers > 1 {
-		return o.Workers
-	}
-	return 1
 }
 
 // ErrUnsafe is returned when RequireSafe is set and a 2-token place is found.
@@ -88,34 +73,20 @@ type Step struct {
 	To         int
 }
 
-// Explore computes the reachability graph of the net under the options.
-// With Options.Workers > 1 the parallel sharded explorer is used; it
-// produces a bit-identical Graph (same state numbering, edges and index).
+// Explore computes the reachability graph of the net under the options:
+// a breadth-first token game, so states are numbered in BFS order.
 //
 // On a state-limit trip (errors.Is(err, ErrStateLimit)) the partial graph
-// explored so far — exactly MaxStates states, in canonical sequential-BFS
-// order — is returned alongside the typed budget.ErrLimit error at every
-// worker count. On cancellation the sequential explorer returns whatever
-// partial graph exists; the parallel explorer returns nil.
+// explored so far — exactly MaxStates states, in BFS order — is returned
+// alongside the typed budget.ErrLimit error. On cancellation the partial
+// graph explored so far is returned as well.
 func Explore(n *petri.Net, opts Options) (*Graph, error) {
-	if w := opts.workers(); w > 1 {
-		sp, start := openEngineSpan(opts.Obs, "engine:explicit-parallel")
-		if sp != nil {
-			sp.Attr("workers", strconv.Itoa(w))
-			sp.Registry().Gauge("reach.workers").Max(int64(w))
-		}
-		g, err := exploreParallel(n, opts, w, sp)
-		closeEngineSpan(sp, start, g, err)
-		return g, err
+	a := opts.Arena
+	if a == nil {
+		a = NewArena()
 	}
 	sp, start := openEngineSpan(opts.Obs, "engine:explicit")
-	var g *Graph
-	var err error
-	if opts.Arena != nil {
-		g, err = exploreArena(n, opts, opts.Arena)
-	} else {
-		g, err = exploreSeq(n, opts)
-	}
+	g, err := exploreArena(n, opts, a)
 	closeEngineSpan(sp, start, g, err)
 	return g, err
 }
@@ -154,55 +125,6 @@ func closeEngineSpan(sp *obs.Span, start time.Time, g *Graph, err error) {
 		reg.Gauge("reach.states_per_sec").Set(int64(float64(states) / sec))
 	}
 	sp.End()
-}
-
-// exploreSeq is the plain sequential explorer (no arena, no workers).
-func exploreSeq(n *petri.Net, opts Options) (*Graph, error) {
-	g := &Graph{Net: n, Index: make(map[string]int)}
-	init := n.InitialMarking()
-	if opts.RequireSafe && !init.Safe() {
-		return nil, fmt.Errorf("%w: initial marking %s", ErrUnsafe, init.Format(n))
-	}
-	g.add(init)
-	maxStates := opts.maxStates()
-	hooked := opts.Budget.Hooked()
-	checks := opts.Obs.Registry().Counter("reach.budget_checks")
-	for head := 0; head < len(g.Markings); head++ {
-		if hooked || head%budget.CheckEvery == 0 {
-			checks.Inc()
-			if err := opts.Budget.Check("reach.explore"); err != nil {
-				return g, err
-			}
-		}
-		m := g.Markings[head]
-		for t := range n.Transitions {
-			if !n.Enabled(m, t) {
-				continue
-			}
-			next := n.Fire(m, t)
-			if opts.RequireSafe && !next.Safe() {
-				return nil, fmt.Errorf("%w: firing %s from %s", ErrUnsafe,
-					n.Transitions[t].Name, m.Format(n))
-			}
-			idx, ok := g.Index[next.Key()]
-			if !ok {
-				if len(g.Markings) >= maxStates {
-					return g, budget.LimitStates(maxStates, len(g.Markings))
-				}
-				idx = g.add(next)
-			}
-			g.Out[head] = append(g.Out[head], Step{Transition: t, To: idx})
-		}
-	}
-	return g, nil
-}
-
-func (g *Graph) add(m petri.Marking) int {
-	idx := len(g.Markings)
-	g.Markings = append(g.Markings, m)
-	g.Out = append(g.Out, nil)
-	g.Index[m.Key()] = idx
-	return idx
 }
 
 // NumStates returns the number of reachable markings.

@@ -20,12 +20,9 @@ import (
 // Dummy transitions are allowed: they change the marking but not the code.
 // Toggle transitions are rejected (normalize the spec first).
 //
-// Options.Workers plumbs through to the underlying marking exploration, so
-// the SG of a large STG is built with the parallel engine; the code
-// labeling passes stay sequential. Options.Arena additionally runs the
-// exploration and the labeling scratch on reusable memory — the returned SG
-// owns its own storage either way. The toggle path is always sequential and
-// ignores both.
+// Options.Arena runs the exploration and the labeling scratch on reusable
+// memory (a fresh private arena when nil); the returned SG owns its own
+// storage either way. The toggle path ignores it.
 func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	if len(g.Signals) > 64 {
 		return nil, fmt.Errorf("reach: %d signals exceed the 64-signal code limit", len(g.Signals))
@@ -38,6 +35,9 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 			return buildSGToggle(g, opts)
 		}
 	}
+	if opts.Arena == nil {
+		opts.Arena = NewArena()
+	}
 	rg, err := Explore(g.Net, firstSafe(opts))
 	if err != nil {
 		return nil, err
@@ -47,17 +47,7 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 	// code from the (unknown) initial code; fixed/value constrain initial
 	// bits: firing a+ from s requires code(s).a == 0, i.e.
 	// initial.a == delta[s].a; firing a- requires initial.a != delta[s].a.
-	var (
-		delta []ts.Code
-		seen  []bool
-		queue []int
-	)
-	if a := opts.Arena; a != nil {
-		delta, seen, queue = a.sgScratch(rg.NumStates())
-	} else {
-		delta = make([]ts.Code, rg.NumStates())
-		seen = make([]bool, rg.NumStates())
-	}
+	delta, seen, queue := opts.Arena.sgScratch(rg.NumStates())
 	seen[0] = true
 	var initKnown, initVal ts.Code
 	queue = append(queue, 0)
@@ -106,9 +96,7 @@ func BuildSG(g *stg.STG, opts Options) (*ts.SG, error) {
 			queue = append(queue, step.To)
 		}
 	}
-	if a := opts.Arena; a != nil {
-		a.putQueue(queue)
-	}
+	opts.Arena.putQueue(queue)
 
 	// Phase 2: assemble the SG. Signals that never switch keep initial 0.
 	sg := &ts.SG{

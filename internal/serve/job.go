@@ -623,10 +623,9 @@ func (s *Server) verify(j *job, hash string, bgt *budget.Budget, reg *obs.Regist
 			return nil, err
 		}
 		rep, err := prop.Check(j.g, j.props, prop.Options{
-			Engine:  eng,
-			Workers: j.req.Options.Workers,
-			Budget:  bgt,
-			Obs:     flow,
+			Engine: eng,
+			Budget: bgt,
+			Obs:    flow,
 		})
 		if err != nil {
 			return nil, err

@@ -411,9 +411,9 @@ func post(t *testing.T, url string, body any) (int, *Response) {
 // TestCrashRetryPolicy: a recovered engine panic (budget.ErrInternal) gets
 // exactly one retry with the degradation ladder forced, and the final
 // response carries the failed first attempt in its trace. The panic is
-// injected through the budget hook seam at a worker-pool site, so it
-// surfaces as a typed internal error — the same shape a real engine crash
-// produces.
+// injected through the budget hook seam in the explicit state-graph build,
+// which core recovers into a typed internal error — the same shape a real
+// engine crash produces.
 func TestCrashRetryPolicy(t *testing.T) {
 	srv, err := New(Config{Workers: 1})
 	if err != nil {
@@ -448,17 +448,16 @@ func TestCrashRetryPolicy(t *testing.T) {
 		t.Fatalf("attempt trace missing the retry marker: %v", out.Attempts)
 	}
 
-	// One retry max: a hook that always panics fails the job as internal.
+	// One retry max: a hook that panics at every check site fails the job
+	// as internal. (The retry's fallback ladder recovers the explicit
+	// build's panic and moves on to the symbolic rung, which panics too.)
 	srv2, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Shutdown(context.Background())
 	srv2.testBudgetHook = func(site string) error {
-		if site == "reach.explore" {
-			panic("chaos: persistent engine panic")
-		}
-		return nil
+		panic("chaos: persistent engine panic at " + site)
 	}
 	hs2 := httptest.NewServer(srv2.Handler())
 	defer hs2.Close()

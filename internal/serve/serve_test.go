@@ -118,7 +118,7 @@ func metrics(t *testing.T, base string) *obs.Snapshot {
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}
-	// The server registry is span-free by design (Registry.Merge folds only
+	// The server registry is span-free by design (Registry.MergeRetain folds only
 	// scalar instruments), so Validate — not ValidateHierarchy — applies.
 	if err := snap.Validate(); err != nil {
 		t.Fatalf("/metrics snapshot invalid: %v", err)

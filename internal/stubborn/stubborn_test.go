@@ -127,9 +127,9 @@ func TestLiveChoiceNet(t *testing.T) {
 	}
 }
 
-// TestExploreDeterministic pins that the sharded-set-backed exploration is
-// reproducible: repeated runs visit identical state/arc counts and the same
-// deadlock markings.
+// TestExploreDeterministic pins that the exploration is reproducible:
+// repeated runs visit identical state/arc counts and the same deadlock
+// markings.
 func TestExploreDeterministic(t *testing.T) {
 	net := gen.Philosophers(5)
 	first, err := Explore(net, Options{})

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: formatting, vet, build, full tests, and the
-# race-detector subset covering the concurrent exploration engines.
+# race-detector subset covering the concurrent code (worker pools, the
+# service layer, observability).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,20 +18,16 @@ go build ./...
 # fail the gate, not wedge it.
 go test -timeout 30s ./...
 go test -timeout 30s -race ./internal/reach/... ./internal/stubborn/... ./internal/obs/... ./internal/serve/...
-# Lock-free structures under the race detector across processor counts:
-# the CAS shardset (dense-id and limit invariants), the concurrent BDD
-# kernel (canonicity, epoch retry) and the parallel symbolic image.
-go test -timeout 60s -race -cpu 1,2,4 ./internal/shardset/
+# The BDD kernel and the symbolic engine under the race detector.
 go test -timeout 120s -race ./internal/bdd/ ./internal/symbolic/
 # Fault-injection harness under the race detector: cancel/limit/panic
 # faults at every named check site must produce typed errors with no
 # hangs, crashes or goroutine leaks.
 go test -timeout 60s -race ./internal/faultinject/
 # Cross-engine differential suite under the race detector, pinned to
-# GOMAXPROCS=4 so the work-stealing explorer and the parallel symbolic
-# image really interleave: every engine must agree bit for bit at workers
-# 1/2/4. Then a short fuzz smoke of the BDD kernel against its
-# truth-table oracle.
+# GOMAXPROCS=4 so its parallel subtests really interleave: explicit,
+# symbolic and stubborn-set engines must agree on every model. Then a short
+# fuzz smoke of the BDD kernel against its truth-table oracle.
 GOMAXPROCS=4 go test -timeout 120s -run Conformance -race ./internal/conformance/
 go test -fuzz=FuzzBDDOps -fuzztime=5s -run '^$' ./internal/bdd/
 # Exact minimizer fuzz smoke: every cover equals the Quine–McCluskey
@@ -46,7 +43,7 @@ go test -fuzz=FuzzSTGParse -fuzztime=5s -run '^$' ./internal/stg/
 # line above.
 go test -timeout 60s -race ./internal/prop/ ./cmd/verify/
 go test -fuzz=FuzzPropParse -fuzztime=5s -run '^$' ./internal/prop/
-# Parallel synthesis determinism under the race detector: identical
+# Worker-pool determinism under the race detector: identical
 # solutions, functions and netlists at every worker count.
 go test -timeout 60s -race -run 'Deterministic|MatchesSequential|TieBreak|CSCError' ./internal/encoding/ ./internal/logic/
 # Observability gate: instrumented runs of cmd/synth and cmd/reach on the
