@@ -439,13 +439,16 @@ func BenchmarkBurstModeSynth(b *testing.B) {
 // End-to-end flow benchmark: spec to verified netlist.
 func BenchmarkFullFlow(b *testing.B) {
 	for _, tc := range []struct {
-		name string
-		g    *stg.STG
+		name    string
+		g       *stg.STG
+		workers []int
 	}{
-		{"vme-read", vme.ReadSTG()},
-		{"vme-read-write", vme.ReadWriteSTG()},
+		{"vme-read", vme.ReadSTG(), []int{1, 4}},
+		{"vme-read-write", vme.ReadWriteSTG(), []int{1, 4}},
+		// CSC-free: the flow builds one state graph and skips the search.
+		{"muller-6", gen.MullerPipeline(6), []int{2}},
 	} {
-		for _, w := range []int{1, 4} {
+		for _, w := range tc.workers {
 			b.Run(fmt.Sprintf("%s/w%d", tc.name, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					rep, err := core.Synthesize(tc.g, core.Options{Workers: w})

@@ -293,8 +293,14 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 	}
 	phase = time.Now()
 	encSpan := flow.Child("phase:encoding")
-	sols, err := encoding.SolutionsOpts(g, opts.MaxCSCSignals, 5,
-		encoding.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: encSpan})
+	// A specification that already has CSC needs no search: its own state
+	// graph is the only solution, and with one solution the literal cost
+	// that ranks solutions is never read.
+	sols := []*encoding.Solution{{STG: g, SG: baseSG}}
+	if !rep.Properties.CSC {
+		sols, err = encoding.SolutionsOpts(g, opts.MaxCSCSignals, 5,
+			encoding.Options{Workers: opts.Workers, Budget: opts.Budget, Obs: encSpan})
+	}
 	encSpan.End()
 	if err != nil {
 		if budgetErr(err) {
@@ -350,7 +356,7 @@ func synthesize(g *stg.STG, opts Options, flow *obs.Span) (*Report, error) {
 		}
 		phase = time.Now()
 		verifySpan := flow.Child("phase:verify")
-		rep.Verification, err = sim.Verify(rep.Netlist, rep.Spec,
+		rep.Verification, err = sim.VerifySG(rep.Netlist, rep.Spec, rep.SG,
 			sim.Options{Constraints: opts.Constraints, Budget: opts.Budget})
 		verifySpan.End()
 		rep.Timing.Verify = time.Since(phase)

@@ -181,15 +181,12 @@ func describeInsertion(g *stg.STG, name string, r, f Point) string {
 }
 
 // rankedInsertions tries every (rise, fall) pair of insertion points around
-// non-input transitions and returns the property-preserving candidates that
-// reduce the conflict count, ranked by (conflicts, literal cost, order).
-// The pairs are scored by the memoized evaluator pool; the ranking — and
-// thus the returned list — is identical at any pool size.
-func rankedInsertions(g *stg.STG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
-	baseSG, err := ctx.buildSG(g)
-	if err != nil {
-		return nil, err
-	}
+// non-input transitions of g, whose state graph is baseSG, and returns the
+// property-preserving candidates that reduce the conflict count, ranked by
+// (conflicts, literal cost, order). The pairs are scored by the memoized
+// evaluator pool; the ranking — and thus the returned list — is identical at
+// any pool size.
+func rankedInsertions(g *stg.STG, baseSG *ts.SG, name string, limit int, ctx *evalCtx) ([]*Solution, error) {
 	baseConflicts := len(baseSG.CSCConflicts())
 
 	var points []Point
@@ -285,7 +282,7 @@ func firstRound(g *stg.STG, maxSignals, limit int, ctx *evalCtx) ([]*Solution, e
 	if maxSignals <= 0 {
 		maxSignals = 3
 	}
-	ranked, err := rankedInsertions(g, "csc0", limit*2, ctx)
+	ranked, err := rankedInsertions(g, sg, "csc0", limit*2, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +313,7 @@ func continueGreedy(start *Solution, rounds int, ctx *evalCtx) (*Solution, error
 		if cur.SG.HasCSC() {
 			return cur, nil
 		}
-		ranked, err := rankedInsertions(cur.STG, fmt.Sprintf("csc%d", i+1), 1, ctx)
+		ranked, err := rankedInsertions(cur.STG, cur.SG, fmt.Sprintf("csc%d", i+1), 1, ctx)
 		if err != nil {
 			return nil, err
 		}

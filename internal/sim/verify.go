@@ -25,6 +25,7 @@ import (
 	"repro/internal/petri"
 	"repro/internal/reach"
 	"repro/internal/stg"
+	"repro/internal/ts"
 )
 
 // EventRef names a signal edge, e.g. {Signal:"D", Dir:stg.Fall}.
@@ -151,8 +152,34 @@ type compKey struct {
 
 // Verify explores the closed circuit×environment system. The netlist must
 // contain every spec signal (matched by name); it may contain additional
-// implementation-only wires (decomposition signals).
+// implementation-only wires (decomposition signals). It builds the spec's
+// state graph for the initial code; callers that already hold it use
+// VerifySG.
 func Verify(nl *logic.Netlist, spec *stg.STG, opts Options) (*Result, error) {
+	ver, err := newVerifier(nl, spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	specSG, err := reach.BuildSG(spec, reach.Options{Budget: opts.Budget})
+	if err != nil {
+		return nil, fmt.Errorf("sim: spec rejected: %w", err)
+	}
+	return ver.run(specSG)
+}
+
+// VerifySG is Verify against a state graph of spec the caller already
+// holds. Only its initial state's code is read, so a dummy-contracted graph
+// serves as well as the raw one.
+func VerifySG(nl *logic.Netlist, spec *stg.STG, specSG *ts.SG, opts Options) (*Result, error) {
+	ver, err := newVerifier(nl, spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	return ver.run(specSG)
+}
+
+// newVerifier validates the netlist and maps every spec signal onto it.
+func newVerifier(nl *logic.Netlist, spec *stg.STG, opts Options) (*verifier, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
@@ -173,24 +200,28 @@ func Verify(nl *logic.Netlist, spec *stg.STG, opts Options) (*Result, error) {
 		ver.specToNet[i] = idx
 		ver.netToSpec[idx] = i
 	}
+	return ver, nil
+}
 
-	// Initial state: the spec SG's initial code mapped into netlist space,
-	// with implementation-only wires settled to a stable assignment.
-	specSG, err := reach.BuildSG(spec, reach.Options{Budget: opts.Budget})
-	if err != nil {
-		return nil, fmt.Errorf("sim: spec rejected: %w", err)
-	}
+// initialVector is the spec SG's initial code mapped into netlist space,
+// with implementation-only wires settled to a stable assignment.
+func (ver *verifier) initialVector(specSG *ts.SG) (uint64, error) {
 	var v0 uint64
-	for i := range spec.Signals {
+	for i := range ver.spec.Signals {
 		if specSG.States[specSG.Initial].Code.Bit(i) {
 			v0 |= 1 << uint(ver.specToNet[i])
 		}
 	}
-	v0, err = ver.settleExtras(v0)
+	return ver.settleExtras(v0)
+}
+
+// run explores the composed system from the initial state of specSG.
+func (ver *verifier) run(specSG *ts.SG) (*Result, error) {
+	v0, err := ver.initialVector(specSG)
 	if err != nil {
 		return nil, err
 	}
-
+	opts := ver.opts
 	if len(opts.Constraints) > 32 {
 		return nil, fmt.Errorf("sim: more than 32 timing constraints")
 	}
@@ -200,7 +231,7 @@ func Verify(nl *logic.Netlist, spec *stg.STG, opts Options) (*Result, error) {
 			permits0 |= 1 << uint(i)
 		}
 	}
-	m0 := spec.Net.InitialMarking()
+	m0 := ver.spec.Net.InitialMarking()
 	if err := ver.explore(v0, m0, permits0); err != nil {
 		return ver.res, err
 	}

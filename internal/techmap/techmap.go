@@ -21,8 +21,10 @@ import (
 
 	"repro/internal/boolmin"
 	"repro/internal/logic"
+	"repro/internal/reach"
 	"repro/internal/sim"
 	"repro/internal/stg"
+	"repro/internal/ts"
 )
 
 // Options configure mapping.
@@ -49,7 +51,13 @@ func Map(nl *logic.Netlist, spec *stg.STG, opts Options) (*logic.Netlist, error)
 	if opts.MaxFanIn < 2 {
 		return nil, fmt.Errorf("techmap: fan-in limit must be at least 2")
 	}
-	res, err := sim.Verify(nl, spec, opts.Sim)
+	// Every trial verifies against the same spec: build its state graph
+	// once.
+	specSG, err := reach.BuildSG(spec, reach.Options{Budget: opts.Sim.Budget})
+	if err != nil {
+		return nil, fmt.Errorf("techmap: spec rejected: %w", err)
+	}
+	res, err := sim.VerifySG(nl, spec, specSG, opts.Sim)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +70,7 @@ func Map(nl *logic.Netlist, spec *stg.STG, opts Options) (*logic.Netlist, error)
 		if gi < 0 {
 			return cur, nil // everything fits
 		}
-		next, err := decomposeOnce(cur, gi, spec, opts, round)
+		next, err := decomposeOnce(cur, gi, spec, specSG, opts, round)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +143,7 @@ func widestNetwork(g *logic.Gate) int {
 // decomposeOnce extracts one new wire for gate gi, trying candidates until
 // one verifies. For latch gates (gC / RS) the widest of the set/reset
 // networks is decomposed.
-func decomposeOnce(nl *logic.Netlist, gi int, spec *stg.STG, opts Options, round int) (*logic.Netlist, error) {
+func decomposeOnce(nl *logic.Netlist, gi int, spec *stg.STG, specSG *ts.SG, opts Options, round int) (*logic.Netlist, error) {
 	g := nl.Gates[gi]
 	which := 0
 	if g.Kind != logic.Comb {
@@ -165,7 +173,7 @@ func decomposeOnce(nl *logic.Netlist, gi int, spec *stg.STG, opts Options, round
 			if !ok {
 				continue
 			}
-			res, err := sim.Verify(trial, spec, opts.Sim)
+			res, err := sim.VerifySG(trial, spec, specSG, opts.Sim)
 			if err != nil {
 				return nil, err
 			}
@@ -184,7 +192,7 @@ func decomposeOnce(nl *logic.Netlist, gi int, spec *stg.STG, opts Options, round
 			continue
 		}
 		for _, t2 := range withAckVariants(trial, wName) {
-			res, err := sim.Verify(t2, spec, opts.Sim)
+			res, err := sim.VerifySG(t2, spec, specSG, opts.Sim)
 			if err != nil {
 				return nil, err
 			}

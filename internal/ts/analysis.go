@@ -2,6 +2,7 @@ package ts
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/stg"
@@ -60,10 +61,52 @@ func (g *SG) CSCConflicts() []CodeConflict {
 }
 
 // HasCSC reports whether the Complete State Coding property holds.
-func (g *SG) HasCSC() bool { return len(g.CSCConflicts()) == 0 }
+func (g *SG) HasCSC() bool {
+	_, csc := g.codingProperties()
+	return csc
+}
 
 // HasUSC reports whether the Unique State Coding property holds.
-func (g *SG) HasUSC() bool { return len(g.USCConflicts()) == 0 }
+func (g *SG) HasUSC() bool {
+	usc, _ := g.codingProperties()
+	return usc
+}
+
+// codingProperties decides USC and CSC in one pass over the states, without
+// listing conflict pairs: each state is compared with the first state seen
+// at its code. Two states sharing a code conflict under CSC exactly when
+// their excited non-input signal masks differ (the cscWitness definition),
+// and equality of masks is transitive, so comparing against the first
+// member of each code group decides every pair.
+func (g *SG) codingProperties() (usc, csc bool) {
+	var nonInput uint64
+	for sig, s := range g.Signals {
+		if s.Kind == stg.Output || s.Kind == stg.Internal {
+			nonInput |= 1 << uint(sig)
+		}
+	}
+	first := make(map[Code]uint64, len(g.States))
+	usc, csc = true, true
+	for s, st := range g.States {
+		var excited uint64
+		for _, a := range g.Out[s] {
+			if a.Event.Sig >= 0 {
+				excited |= 1 << uint(a.Event.Sig)
+			}
+		}
+		excited &= nonInput
+		mask, seen := first[st.Code]
+		if !seen {
+			first[st.Code] = excited
+			continue
+		}
+		usc = false
+		if mask != excited {
+			return false, false
+		}
+	}
+	return usc, csc
+}
 
 // cscWitness returns a non-input signal whose excitation differs between
 // states a and b.
@@ -92,12 +135,9 @@ func (g *SG) groupsSorted() [][]int {
 		}
 	}
 	// Each group is already ascending (states appended in index order);
-	// order groups by first member for determinism.
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j][0] < groups[j-1][0]; j-- {
-			groups[j], groups[j-1] = groups[j-1], groups[j]
-		}
-	}
+	// order groups by first member for determinism. First members are
+	// unique, so the order is total.
+	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
 	return groups
 }
 
@@ -208,10 +248,11 @@ func (r Implementability) String() string {
 // CheckImplementability runs the full Section 2.1 property suite on a
 // consistently-built SG.
 func (g *SG) CheckImplementability() Implementability {
+	usc, csc := g.codingProperties()
 	return Implementability{
 		Consistent:   true, // reach.BuildSG fails otherwise
-		USC:          g.HasUSC(),
-		CSC:          g.HasCSC(),
+		USC:          usc,
+		CSC:          csc,
 		Persistent:   g.IsPersistent(),
 		DeadlockFree: len(g.Deadlocks()) == 0,
 	}
